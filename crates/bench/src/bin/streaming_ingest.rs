@@ -34,7 +34,8 @@ fn report_buffer_bytes(reports: &[MechanismReport]) -> usize {
         .map(|r| {
             inline
                 + match r {
-                    MechanismReport::InpRr(ones) => ones.len() * std::mem::size_of::<u32>(),
+                    MechanismReport::InpRr(words) => words.len() * std::mem::size_of::<u64>(),
+                    MechanismReport::InpRrList(ones) => ones.len() * std::mem::size_of::<u32>(),
                     MechanismReport::MargRr(r) => r.ones.len() * std::mem::size_of::<u16>(),
                     _ => 0,
                 }

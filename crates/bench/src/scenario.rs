@@ -604,12 +604,20 @@ pub fn allowed_drop(mode: PointMode, max_drop: f64) -> f64 {
     }
 }
 
+/// How far a point's `bytes_per_report` may exceed its baseline before
+/// the gate fails. Report sizes depend on the seed but not on the
+/// machine, so unlike the throughput allowances this needs no room for
+/// timing noise: any real growth of the wire format past the Table 2
+/// costs the baselines record trips it.
+pub const MAX_BYTES_GROWTH: f64 = 0.02;
+
 /// The CI regression gate: one message per grid point whose ingest
 /// throughput — or client encode throughput — dropped more than its
 /// allowance (`max_drop` for batch points, [`allowed_drop`] for serve
-/// points) below the baseline. Points missing from either side are
-/// reported too — a silently narrowed grid must not pass as "no
-/// regressions".
+/// points) below the baseline, or whose mean wire size per report grew
+/// more than [`MAX_BYTES_GROWTH`] above it. Points missing from either
+/// side are reported too — a silently narrowed grid must not pass as
+/// "no regressions".
 #[must_use]
 pub fn regressions(
     current: &[PointResult],
@@ -671,6 +679,17 @@ pub fn regressions(
                         (1.0 - cur.encodes_per_sec / base.encodes_per_sec) * 100.0,
                         base.encodes_per_sec,
                         encode_floor
+                    ));
+                }
+                let bytes_ceiling = base.bytes_per_report * (1.0 + MAX_BYTES_GROWTH);
+                if cur.bytes_per_report > bytes_ceiling {
+                    problems.push(format!(
+                        "{}: {:.2} bytes/report is {:.1}% above baseline {:.2} (ceiling {:.2})",
+                        label(&cur.point),
+                        cur.bytes_per_report,
+                        (cur.bytes_per_report / base.bytes_per_report - 1.0) * 100.0,
+                        base.bytes_per_report,
+                        bytes_ceiling
                     ));
                 }
             }
@@ -1083,6 +1102,36 @@ mod tests {
             .len(),
             1
         );
+    }
+
+    #[test]
+    fn wire_bytes_per_report_are_gated() {
+        let base = run_point(&tiny_point(MechanismKind::InpRr), 4, 1, 7);
+        // InpRR reports are fixed-size bitsets: 6 + 8·⌈2^d/64⌉ bytes.
+        let words = (1u64 << base.point.d).div_ceil(64);
+        assert_eq!(base.bytes_per_report, (6 + 8 * words) as f64);
+        // Growth up to the 2% allowance passes; fewer bytes always do.
+        for factor in [1.0 + MAX_BYTES_GROWTH, 0.5] {
+            let mut cur = base.clone();
+            cur.bytes_per_report = base.bytes_per_report * factor;
+            assert!(regressions(
+                std::slice::from_ref(&cur),
+                std::slice::from_ref(&base),
+                0.30
+            )
+            .is_empty());
+        }
+        // Past it, the point fails even with both rates unchanged —
+        // e.g. a fall back to the ~263-byte index-list report.
+        let mut grown = base.clone();
+        grown.bytes_per_report = base.bytes_per_report * (1.0 + MAX_BYTES_GROWTH) * 1.001;
+        let problems = regressions(
+            std::slice::from_ref(&grown),
+            std::slice::from_ref(&base),
+            0.30,
+        );
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].contains("bytes/report"), "{problems:?}");
     }
 
     #[test]

@@ -16,7 +16,28 @@
 //! indexing, no unwraps, no lossy counts.
 
 use crate::wire::{tag, Writer};
-use crate::{user_rng, Mechanism};
+use crate::{user_rng, InpRr, Mechanism};
+
+impl InpRr {
+    /// Append one user's [`tag::REPORT_INP_RR_BITS`] report for `row`:
+    /// each 64-lane draw of [`InpRr::perturbed_words`] goes straight
+    /// onto the wire, with no intermediate word buffer.
+    pub fn write_report<R: rand::Rng + ?Sized>(&self, row: u64, rng: &mut R, w: &mut Writer) {
+        put_inp_rr_bits(w, self.words(), |w| {
+            self.perturbed_words(row, rng, |word| w.put_u64(word));
+        });
+    }
+}
+
+/// The one writer of the [`tag::REPORT_INP_RR_BITS`] layout: tag and
+/// version, the `u32` word count, then the `count` `u64` words `fill`
+/// appends (cell 0 is the LSB of word 0). Shared by the encoders above
+/// and `MechanismReport::to_bytes`.
+pub(crate) fn put_inp_rr_bits(w: &mut Writer, count: usize, fill: impl FnOnce(&mut Writer)) {
+    w.put_tag(tag::REPORT_INP_RR_BITS);
+    w.put_u32(u32::try_from(count).unwrap_or(u32::MAX));
+    fill(w);
+}
 
 impl Mechanism {
     /// Serialize one user's report for `row` directly into `w`,
@@ -24,17 +45,7 @@ impl Mechanism {
     /// the writer's current position.
     pub fn encode_report_into<R: rand::Rng + ?Sized>(&self, row: u64, rng: &mut R, w: &mut Writer) {
         match self {
-            Mechanism::InpRr(m) => {
-                w.put_tag(tag::REPORT_INP_RR);
-                let prefix = w.len();
-                w.put_u32(0);
-                let mut count = 0u32;
-                m.perturbed_ones(row, rng, |cell| {
-                    w.put_u32(cell);
-                    count = count.saturating_add(1);
-                });
-                w.patch_u32(prefix, count);
-            }
+            Mechanism::InpRr(m) => m.write_report(row, rng, w),
             Mechanism::InpPs(m) => {
                 w.put_tag(tag::REPORT_INP_PS);
                 w.put_u64(m.encode(row, rng));
@@ -92,15 +103,7 @@ impl Mechanism {
             Mechanism::InpRr(m) => {
                 for (i, &row) in rows.iter().enumerate() {
                     let mut rng = user_rng(seed, first_user.wrapping_add(i as u64));
-                    w.put_tag(tag::REPORT_INP_RR);
-                    let prefix = w.len();
-                    w.put_u32(0);
-                    let mut count = 0u32;
-                    m.perturbed_ones(row, &mut rng, |cell| {
-                        w.put_u32(cell);
-                        count = count.saturating_add(1);
-                    });
-                    w.patch_u32(prefix, count);
+                    m.write_report(row, &mut rng, w);
                 }
             }
             Mechanism::MargRr(m) => {

@@ -61,28 +61,36 @@ impl InpRr {
         self.ue
     }
 
-    /// Faithful client: perturb the full one-hot vector, reporting the
-    /// (typically dense) set of positions that flip to 1. `O(2^d)` cells,
-    /// but the coins are drawn 64 lanes per RNG word (see
-    /// [`perturbed_ones`](Self::perturbed_ones)), not one `gen_bool` per
-    /// cell.
-    pub fn encode<R: Rng + ?Sized>(&self, row: u64, rng: &mut R) -> Vec<u32> {
-        let mut ones = Vec::new();
-        self.perturbed_ones(row, rng, |cell| ones.push(cell));
-        ones
+    /// Number of `u64` words in one report: `⌈2^d / 64⌉`.
+    #[must_use]
+    pub fn words(&self) -> usize {
+        (1usize << self.d).div_ceil(64)
     }
 
-    /// Walk the perturbed one-hot vector's 1-positions in ascending
-    /// order, invoking `emit` for each. This is the shared core of the
-    /// serial [`encode`](Self::encode) and the batched kernel: the
-    /// `2^d − 1` background cells are i.i.d. `Bernoulli(p₀)` coins drawn
-    /// 64 lanes per RNG word via [`bernoulli_word`] (quantized at 2⁻⁶⁴,
-    /// finer than `gen_bool`'s 53-bit comparison), with the one true
-    /// cell's bit overridden by a separate `Bernoulli(p₁)` draw. The
-    /// schedule is deterministic in the RNG state, so per-user
-    /// reproducibility (`user_rng(seed, i)`) is preserved.
+    /// Faithful client: perturb the full one-hot vector and report it
+    /// as a bitset of [`words`](Self::words) `u64` words (cell `c` is
+    /// bit `c mod 64` of word `c / 64`; bits past `2^d` are zero) — the
+    /// paper's `2^d` bits of communication. `O(2^d)` cells, but the
+    /// coins are drawn 64 lanes per RNG word (see
+    /// [`perturbed_words`](Self::perturbed_words)).
+    pub fn encode<R: Rng + ?Sized>(&self, row: u64, rng: &mut R) -> Vec<u64> {
+        let mut words = Vec::with_capacity(self.words());
+        self.perturbed_words(row, rng, |word| words.push(word));
+        words
+    }
+
+    /// Draw the perturbed one-hot vector word by word, invoking `emit`
+    /// for each of the [`words`](Self::words) words in cell order. This
+    /// is the shared core of the serial [`encode`](Self::encode) and the
+    /// batched kernel: the `2^d − 1` background cells are i.i.d.
+    /// `Bernoulli(p₀)` coins drawn 64 lanes per RNG word via
+    /// [`bernoulli_word`] (quantized at 2⁻⁶⁴, finer than `gen_bool`'s
+    /// 53-bit comparison), with the one true cell's bit overridden by a
+    /// separate `Bernoulli(p₁)` draw. The schedule is deterministic in
+    /// the RNG state, so per-user reproducibility (`user_rng(seed, i)`)
+    /// is preserved.
     #[inline]
-    pub fn perturbed_ones<R: Rng + ?Sized, F: FnMut(u32)>(
+    pub fn perturbed_words<R: Rng + ?Sized, F: FnMut(u64)>(
         &self,
         row: u64,
         rng: &mut R,
@@ -104,11 +112,7 @@ impl InpRr {
                     word &= !bit;
                 }
             }
-            while word != 0 {
-                let tz = word.trailing_zeros();
-                emit(base as u32 + tz);
-                word &= word - 1;
-            }
+            emit(word);
             base += u64::from(lanes);
         }
     }
@@ -155,35 +159,107 @@ pub struct InpRrAggregator {
     d: u32,
 }
 
+/// One [`InpRrAggregator`] report in either of its wire forms, as
+/// borrowed by [`InpRrAggregator::absorb_batch_by`].
+#[derive(Clone, Copy, Debug)]
+pub enum InpRrReportRef<'a> {
+    /// The perturbed vector as a bitset (wire v4, the form
+    /// [`InpRr::encode`] produces).
+    Bits(&'a [u64]),
+    /// The legacy (wire v1–v3) list of 1-positions.
+    Positions(&'a [u32]),
+}
+
 impl InpRrAggregator {
-    /// Absorb one user's report (the positions reporting 1). Positions
-    /// are folded into the 2^d-cell table (`pos mod 2^d`), so a corrupt
-    /// wire report degrades to a miscount instead of panicking a
-    /// collector thread; the encoder never produces an out-of-range
-    /// position.
-    #[inline]
-    pub fn absorb(&mut self, report: &[u32]) {
-        let mask = self.ones.len() - 1; // cell count is 2^d
-        for &pos in report {
-            self.ones[pos as usize & mask] += 1;
-        }
-        self.n += 1;
+    /// Number of `u64` words a report for this accumulator carries.
+    #[must_use]
+    pub fn words(&self) -> usize {
+        self.ones.len().div_ceil(64)
     }
 
-    /// Batched ingest: the serial loop with the table borrow and cell
-    /// mask hoisted out of the per-position hot loop (the masked index
-    /// is provably in range, so the increments compile without bounds
-    /// checks). State is byte-identical to absorbing each report in
-    /// order.
-    pub fn absorb_batch(&mut self, reports: &[Vec<u32>]) {
-        let mask = self.ones.len() - 1;
-        let ones = &mut self.ones[..];
+    /// Check that a bitset report fits this accumulator: exactly
+    /// [`words`](Self::words) words, and no bit set past cell `2^d − 1`
+    /// (possible only when `2^d < 64`). The absorb kernels never panic
+    /// on a report that fails this — they drop extra words and bits and
+    /// count missing words as zero — so this is the check a collector
+    /// applies to untrusted reports first, to reject rather than
+    /// miscount them.
+    pub fn check_report(&self, words: &[u64]) -> Result<(), WireError> {
+        Self::check_bits(self.d, words)
+    }
+
+    /// [`check_report`](Self::check_report) for an accumulator over `d`
+    /// attributes, without one at hand — what a collector applies when
+    /// it validates a report against a stream header before routing it
+    /// to a worker.
+    pub fn check_bits(d: u32, words: &[u64]) -> Result<(), WireError> {
+        let cells = 1u64.checked_shl(d).unwrap_or(0);
+        if u64::try_from(words.len()).ok() != Some(cells.div_ceil(64)) || cells == 0 {
+            return Err(WireError::Invalid(
+                "InpRR bitset word count does not match the accumulator's 2^d cells",
+            ));
+        }
+        if cells < 64 && words.first().is_some_and(|w| w >> cells != 0) {
+            return Err(WireError::Invalid(
+                "InpRR bitset sets a bit past the accumulator's 2^d cells",
+            ));
+        }
+        Ok(())
+    }
+
+    /// Absorb one user's bitset report — the batch kernel over a batch
+    /// of one.
+    #[inline]
+    pub fn absorb(&mut self, report: &[u64]) {
+        self.absorb_batch_by(std::slice::from_ref(&report), |r| {
+            Some(InpRrReportRef::Bits(r))
+        });
+    }
+
+    /// Absorb one legacy (wire v1–v3) report: the positions reporting 1.
+    /// Positions are folded into the 2^d-cell table (`pos mod 2^d`), so
+    /// a corrupt wire report degrades to a miscount instead of
+    /// panicking a collector thread.
+    pub fn absorb_positions(&mut self, positions: &[u32]) {
+        self.absorb_batch_by(std::slice::from_ref(&positions), |p| {
+            Some(InpRrReportRef::Positions(p))
+        });
+    }
+
+    /// Batched ingest of bitset reports; state is byte-identical to
+    /// absorbing each report in order.
+    pub fn absorb_batch(&mut self, reports: &[Vec<u64>]) {
+        self.absorb_batch_by(reports, |r| Some(InpRrReportRef::Bits(r)));
+    }
+
+    /// The one absorb kernel: every item `view` maps to a report is
+    /// absorbed (items mapped to `None` are skipped). Bitset reports are
+    /// counted by the bit-sliced kernel (`crate::bitslice`), flushing
+    /// into the cell counts every 255 reports; legacy position lists
+    /// are added directly. Counts are sums, so the state is
+    /// byte-identical to absorbing each report serially, in any mix of
+    /// the two forms.
+    pub fn absorb_batch_by<T, V>(&mut self, reports: &[T], view: V)
+    where
+        V: Fn(&T) -> Option<InpRrReportRef<'_>>,
+    {
+        let mask = self.ones.len() - 1; // cell count is 2^d
         for report in reports {
-            for &pos in report {
-                ones[pos as usize & mask] += 1;
+            match view(report) {
+                Some(InpRrReportRef::Bits(_)) => self.n += 1,
+                Some(InpRrReportRef::Positions(positions)) => {
+                    for &pos in positions {
+                        self.ones[pos as usize & mask] += 1;
+                    }
+                    self.n += 1;
+                }
+                None => {}
             }
         }
-        self.n += reports.len();
+        crate::bitslice::count_bits(&mut self.ones, reports, |r| match view(r) {
+            Some(InpRrReportRef::Bits(words)) => Some(words),
+            _ => None,
+        });
     }
 
     /// Fold another shard's aggregator into this one.
@@ -216,14 +292,14 @@ impl InpRrAggregator {
 }
 
 impl Accumulator for InpRrAggregator {
-    type Report = Vec<u32>;
+    type Report = Vec<u64>;
     type Output = FullDistributionEstimate;
 
-    fn absorb(&mut self, report: &Vec<u32>) {
+    fn absorb(&mut self, report: &Vec<u64>) {
         InpRrAggregator::absorb(self, report);
     }
 
-    fn absorb_batch(&mut self, reports: &[Vec<u32>]) {
+    fn absorb_batch(&mut self, reports: &[Vec<u64>]) {
         InpRrAggregator::absorb_batch(self, reports);
     }
 
@@ -390,6 +466,35 @@ mod tests {
         // (≈ 1, up to unbiasing noise).
         let total: f64 = est.distribution().iter().sum();
         assert!((m.iter().sum::<f64>() - total).abs() < 1e-9);
+    }
+
+    #[test]
+    fn report_bytes_are_the_table_2_bits_rounded_to_words() {
+        use crate::wire::Writer;
+        use ldp_mechanisms::theory::MethodBound;
+        for d in 1..=12u32 {
+            let mech = InpRr::new(d, 1.1);
+            let words = (1usize << d).div_ceil(64);
+            let bits = MethodBound::InpRr.communication_bits(d, 2);
+            assert_eq!(bits, 1u64 << d);
+            // Table 2's 2^d bits, rounded up to whole u64 words.
+            assert_eq!(words as u64 * 64, bits.max(64), "d={d}");
+
+            let mut rng = StdRng::seed_from_u64(u64::from(d));
+            let report = mech.encode(u64::from(d) % (1 << d), &mut rng);
+            assert_eq!(report.len(), words);
+            let serial = crate::MechanismReport::InpRr(report).to_bytes();
+            assert_eq!(serial.len(), 6 + 8 * words, "d={d}");
+
+            let mut w = Writer::default();
+            let mut rng = StdRng::seed_from_u64(u64::from(d));
+            crate::Mechanism::InpRr(mech).encode_report_into(
+                u64::from(d) % (1 << d),
+                &mut rng,
+                &mut w,
+            );
+            assert_eq!(w.as_bytes(), &serial[..], "d={d}");
+        }
     }
 
     #[test]

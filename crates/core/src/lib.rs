@@ -38,6 +38,7 @@
 //! for the statically-typed client/server split.
 
 mod accumulator;
+mod bitslice;
 mod categorical;
 pub mod consistency;
 mod encode;
@@ -64,7 +65,7 @@ pub use estimate::{
 pub use inp_em::{EmDiagnostics, EmEstimate, InpEm, InpEmAggregator};
 pub use inp_ht::{InpHt, InpHtAggregator, InpHtReport};
 pub use inp_ps::{InpPs, InpPsAggregator};
-pub use inp_rr::{InpRr, InpRrAggregator};
+pub use inp_rr::{InpRr, InpRrAggregator, InpRrReportRef};
 pub use marg_ht::{MargHt, MargHtAggregator, MargHtReport};
 pub use marg_ps::{MargPs, MargPsAggregator, MargPsReport};
 pub use marg_rr::{MargRr, MargRrAggregator, MargRrReport};

@@ -24,8 +24,8 @@
 
 use crate::wire::{tag, Reader, WireError, Writer};
 use crate::{
-    Accumulator, Estimate, InpHtReport, MargHtReport, MargPsReport, MargRrReport, Mechanism,
-    MechanismKind,
+    Accumulator, Estimate, InpHtReport, InpRrReportRef, MargHtReport, MargPsReport, MargRrReport,
+    Mechanism, MechanismKind,
 };
 use rand::Rng;
 
@@ -42,8 +42,9 @@ fn get_sign(r: &mut Reader<'_>) -> Result<bool, WireError> {
 /// [`Mechanism::encode`] produces and [`MechanismAccumulator`] absorbs.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MechanismReport {
-    /// Perturbed one-hot positions (see [`crate::InpRr::encode`]).
-    InpRr(Vec<u32>),
+    /// The perturbed one-hot vector as a bitset, 64 cells per word (see
+    /// [`crate::InpRr::encode`]).
+    InpRr(Vec<u64>),
     /// Perturbed input index (see [`crate::InpPs::encode`]).
     InpPs(u64),
     /// Sampled Hadamard coefficient + sign (see [`crate::InpHt::encode`]).
@@ -56,14 +57,31 @@ pub enum MechanismReport {
     MargHt(MargHtReport),
     /// Budget-split perturbed row (see [`crate::InpEm::encode`]).
     InpEm(u64),
+    /// An InpRR report in its legacy (wire v1–v3) form: the 1-positions
+    /// of the perturbed one-hot vector. Decoded from
+    /// [`tag::REPORT_INP_RR`] blobs so old streams still ingest; never
+    /// produced by [`Mechanism::encode`].
+    InpRrList(Vec<u32>),
 }
 
 impl MechanismReport {
+    /// Borrow an InpRR report in either wire form (`None` for every
+    /// other mechanism) — the view [`crate::InpRrAggregator::absorb_batch_by`]
+    /// takes.
+    #[must_use]
+    pub fn inp_rr_ref(&self) -> Option<InpRrReportRef<'_>> {
+        match self {
+            MechanismReport::InpRr(words) => Some(InpRrReportRef::Bits(words)),
+            MechanismReport::InpRrList(positions) => Some(InpRrReportRef::Positions(positions)),
+            _ => None,
+        }
+    }
+
     /// Which mechanism this report belongs to.
     #[must_use]
     pub fn kind(&self) -> MechanismKind {
         match self {
-            MechanismReport::InpRr(_) => MechanismKind::InpRr,
+            MechanismReport::InpRr(_) | MechanismReport::InpRrList(_) => MechanismKind::InpRr,
             MechanismReport::InpPs(_) => MechanismKind::InpPs,
             MechanismReport::InpHt(_) => MechanismKind::InpHt,
             MechanismReport::MargRr(_) => MechanismKind::MargRr,
@@ -80,7 +98,14 @@ impl MechanismReport {
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         match self {
-            MechanismReport::InpRr(ones) => {
+            MechanismReport::InpRr(words) => {
+                let mut w = Writer::default();
+                crate::encode::put_inp_rr_bits(&mut w, words.len(), |w| {
+                    words.iter().for_each(|&word| w.put_u64(word));
+                });
+                w.into_bytes()
+            }
+            MechanismReport::InpRrList(ones) => {
                 let mut w = Writer::with_tag(tag::REPORT_INP_RR);
                 w.put_u32_slice(ones);
                 w.into_bytes()
@@ -130,9 +155,15 @@ impl MechanismReport {
     /// whole-blob [`Reader::finish`].
     pub fn decode_next(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.peek() {
+            Some(tag::REPORT_INP_RR_BITS) => {
+                r.expect_tag(tag::REPORT_INP_RR_BITS)?;
+                let mut words = Vec::new();
+                r.get_u64_words_into(&mut words)?;
+                Ok(MechanismReport::InpRr(words))
+            }
             Some(tag::REPORT_INP_RR) => {
                 r.expect_tag(tag::REPORT_INP_RR)?;
-                Ok(MechanismReport::InpRr(r.get_u32_vec()?))
+                Ok(MechanismReport::InpRrList(r.get_u32_vec()?))
             }
             Some(tag::REPORT_INP_PS) => {
                 r.expect_tag(tag::REPORT_INP_PS)?;
@@ -193,7 +224,11 @@ impl MechanismReport {
     /// `self` are unspecified (but valid); neither must be used further.
     pub fn decode_next_into(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
         match (r.peek(), &mut *self) {
-            (Some(tag::REPORT_INP_RR), MechanismReport::InpRr(ones)) => {
+            (Some(tag::REPORT_INP_RR_BITS), MechanismReport::InpRr(words)) => {
+                r.expect_tag(tag::REPORT_INP_RR_BITS)?;
+                r.get_u64_words_into(words)
+            }
+            (Some(tag::REPORT_INP_RR), MechanismReport::InpRrList(ones)) => {
                 r.expect_tag(tag::REPORT_INP_RR)?;
                 r.get_u32_vec_into(ones)
             }
@@ -212,9 +247,10 @@ impl MechanismReport {
     }
 
     /// Decode a report frame payload into `self`, reusing any heap
-    /// capacity the current value already owns (the `InpRR` / `MargRR`
-    /// position buffers) — the zero-allocation decode path of the
-    /// batched ingest scratch. Accepts and rejects exactly what
+    /// capacity the current value already owns (the `InpRR` word and
+    /// position buffers, the `MargRR` position buffer) — the
+    /// zero-allocation decode path of the batched ingest scratch.
+    /// Accepts and rejects exactly what
     /// [`MechanismReport::from_bytes`] does; on error `self` is left as
     /// some valid (but unspecified) report and must not be absorbed.
     pub fn decode_into(&mut self, bytes: &[u8]) -> Result<(), WireError> {
@@ -233,9 +269,12 @@ impl MechanismReport {
 /// [`Estimate`].
 #[derive(Clone, Debug)]
 pub enum MechanismAccumulator {
-    /// See [`crate::InpRrAggregator`]. The faithful streaming path for
-    /// `InpRR` costs `O(2^d)` per report; [`Mechanism::run`] uses the
-    /// exact-in-distribution aggregate simulation instead.
+    /// See [`crate::InpRrAggregator`]. Absorbs both report forms
+    /// ([`MechanismReport::InpRr`] bitsets and legacy
+    /// [`MechanismReport::InpRrList`] position lists). The faithful
+    /// streaming path for `InpRR` costs `O(2^d)` per report;
+    /// [`Mechanism::run`] uses the exact-in-distribution aggregate
+    /// simulation instead.
     InpRr(crate::InpRrAggregator),
     /// See [`crate::InpPsAggregator`].
     InpPs(crate::InpPsAggregator),
@@ -283,6 +322,9 @@ impl Accumulator for MechanismAccumulator {
     fn absorb(&mut self, report: &MechanismReport) {
         match (&mut *self, report) {
             (MechanismAccumulator::InpRr(a), MechanismReport::InpRr(r)) => a.absorb(r),
+            (MechanismAccumulator::InpRr(a), MechanismReport::InpRrList(r)) => {
+                a.absorb_positions(r);
+            }
             (MechanismAccumulator::InpPs(a), MechanismReport::InpPs(r)) => a.absorb(*r),
             (MechanismAccumulator::InpHt(a), MechanismReport::InpHt(r)) => a.absorb(*r),
             (MechanismAccumulator::MargRr(a), MechanismReport::MargRr(r)) => a.absorb(r),
@@ -295,10 +337,12 @@ impl Accumulator for MechanismAccumulator {
 
     /// Batched ingest with the accumulator dispatch hoisted out of the
     /// loop: one variant match up front, then a tight absorb loop per
-    /// report (no allocation, no per-report double dispatch). `InpEM`
-    /// additionally routes through its group-by-value kernel
-    /// (`InpEmAggregator::absorb_batch_iter`), so a batch of n reports
-    /// over k distinct rows costs k count-map updates instead of n.
+    /// report (no allocation, no per-report double dispatch). `InpRR`
+    /// routes through its bit-sliced batch kernel
+    /// (`InpRrAggregator::absorb_batch_by`), and `InpEM` through its
+    /// group-by-value kernel (`InpEmAggregator::absorb_batch_iter`), so
+    /// a batch of n reports over k distinct rows costs k count-map
+    /// updates instead of n.
     fn absorb_batch(&mut self, reports: &[MechanismReport]) {
         macro_rules! drain {
             ($acc:ident, $variant:ident, ref) => {
@@ -317,7 +361,12 @@ impl Accumulator for MechanismAccumulator {
             };
         }
         match &mut *self {
-            MechanismAccumulator::InpRr(a) => drain!(a, InpRr, ref),
+            MechanismAccumulator::InpRr(a) => {
+                if let Some(other) = reports.iter().find(|r| r.kind() != MechanismKind::InpRr) {
+                    kind_mismatch(MechanismKind::InpRr, other.kind());
+                }
+                a.absorb_batch_by(reports, MechanismReport::inp_rr_ref);
+            }
             MechanismAccumulator::InpPs(a) => drain!(a, InpPs, val),
             MechanismAccumulator::InpHt(a) => drain!(a, InpHt, val),
             MechanismAccumulator::MargRr(a) => drain!(a, MargRr, ref),

@@ -38,7 +38,9 @@ pub mod tag {
     /// `ldp_oracles::OlhAggregator`.
     pub const OLH: u8 = 0x13;
 
-    /// [`crate::MechanismReport::InpRr`] report frame.
+    /// [`crate::MechanismReport::InpRrList`] report frame: the legacy
+    /// (v1–v3) InpRR form, a `u32` index list of the 1-bits. Still
+    /// decoded; no longer written by the encoders.
     pub const REPORT_INP_RR: u8 = 0x21;
     /// [`crate::MechanismReport::InpPs`] report frame.
     pub const REPORT_INP_PS: u8 = 0x22;
@@ -52,6 +54,10 @@ pub mod tag {
     pub const REPORT_MARG_HT: u8 = 0x26;
     /// [`crate::MechanismReport::InpEm`] report frame.
     pub const REPORT_INP_EM: u8 = 0x27;
+    /// [`crate::MechanismReport::InpRr`] report frame (wire v4): the
+    /// perturbed 2^d-bit vector itself, as a `u32` word count and that
+    /// many `u64` words (cell 0 is the LSB of word 0).
+    pub const REPORT_INP_RR_BITS: u8 = 0x28;
     /// `ldp_oracles::OracleReport::Hcms` report frame.
     pub const REPORT_HCMS: u8 = 0x31;
     /// `ldp_oracles::OracleReport::Cms` report frame.
@@ -116,11 +122,13 @@ pub mod tag {
 
 /// The current wire-format version. Writers always emit it.
 ///
-/// v2 added the [`tag::REPORT_BATCH`] envelope; v3 adds the federation
-/// frames ([`tag::REQ_PUSH`], [`tag::RESP_PUSH`], [`tag::CHECKPOINT`]).
-/// Every field layout of v1 is unchanged, so v1 blobs decode as-is
-/// (see [`MIN_VERSION`]).
-pub const VERSION: u8 = 3;
+/// v2 added the [`tag::REPORT_BATCH`] envelope; v3 added the federation
+/// frames ([`tag::REQ_PUSH`], [`tag::RESP_PUSH`], [`tag::CHECKPOINT`]);
+/// v4 adds the bitset InpRR report ([`tag::REPORT_INP_RR_BITS`]), which
+/// the encoders now write instead of the [`tag::REPORT_INP_RR`] index
+/// list. Every field layout of v1 is unchanged, so v1 blobs decode
+/// as-is (see [`MIN_VERSION`]).
+pub const VERSION: u8 = 4;
 
 /// The oldest wire-format version this build still decodes. Readers
 /// accept any version in `MIN_VERSION..=`[`VERSION`] and reject
@@ -510,6 +518,25 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
+    /// Read a `u32`-count-prefixed `u64` slice (the bitset report words)
+    /// into a caller-owned buffer, cleared first and reusing its
+    /// capacity. The count is checked against the bytes remaining
+    /// before anything is reserved, so the allocation is bounded by the
+    /// input.
+    pub fn get_u64_words_into(&mut self, out: &mut Vec<u64>) -> Result<(), WireError> {
+        let prefix = self.get_u32()?;
+        let words = self.checked_len(u64::from(prefix), 8)?;
+        let bytes = self.take(words.checked_mul(8).ok_or(WireError::Truncated)?)?;
+        out.clear();
+        out.reserve_exact(words);
+        out.extend(
+            bytes
+                .chunks_exact(8)
+                .map(|b| u64::from_le_bytes(b.try_into().unwrap_or_default())),
+        );
+        Ok(())
+    }
+
     /// Read a `u32`-length-prefixed raw byte string, rejecting absurd
     /// lengths before allocating.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, WireError> {
@@ -703,6 +730,39 @@ mod tests {
         assert_eq!(r.get_u32_vec().unwrap(), vec![1, u32::MAX]);
         assert_eq!(r.get_u16_vec().unwrap(), Vec::<u16>::new());
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn bitset_words_round_trip_reuse_capacity_and_guard_counts() {
+        let mut w = Writer::with_tag(tag::REPORT_INP_RR_BITS);
+        w.put_u32(3);
+        for v in [1, u64::MAX, 1 << 63] {
+            w.put_u64(v);
+        }
+        w.put_u32(0);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 2 + 4 + 24 + 4);
+        let mut out = Vec::with_capacity(16);
+        let mut r = Reader::with_tag(&bytes, tag::REPORT_INP_RR_BITS).unwrap();
+        r.get_u64_words_into(&mut out).unwrap();
+        assert_eq!(out, vec![1, u64::MAX, 1 << 63]);
+        r.get_u64_words_into(&mut out).unwrap();
+        assert!(out.is_empty());
+        assert_eq!(out.capacity(), 16);
+        r.finish().unwrap();
+
+        // A count past the bytes that follow (including the u32 max)
+        // fails before reserving; a partial last word is truncation.
+        for count in [4u32, u32::MAX] {
+            let mut w = Writer::with_tag(tag::REPORT_INP_RR_BITS);
+            w.put_u32(count);
+            w.put_raw(&[0; 31]);
+            let bytes = w.into_bytes();
+            let mut fresh = Vec::new();
+            let mut r = Reader::with_tag(&bytes, tag::REPORT_INP_RR_BITS).unwrap();
+            assert_eq!(r.get_u64_words_into(&mut fresh), Err(WireError::Truncated));
+            assert_eq!(fresh.capacity(), 0);
+        }
     }
 
     #[test]

@@ -14,7 +14,8 @@ use crate::streaming::{
 use ldp_core::frame::StreamHeader;
 use ldp_core::wire::{tag, Reader, Writer};
 use ldp_core::{
-    Accumulator, Estimate, Mechanism, MechanismAccumulator, MechanismKind, MechanismReport,
+    Accumulator, Estimate, InpRrAggregator, Mechanism, MechanismAccumulator, MechanismKind,
+    MechanismReport,
 };
 use rand::Rng;
 
@@ -224,7 +225,7 @@ impl Client {
 /// payload decodes into.
 #[derive(Clone, Debug, PartialEq)]
 pub enum PipelineReport {
-    /// A marginal-mechanism report (frame tags `0x21`–`0x27`).
+    /// A marginal-mechanism report (frame tags `0x21`–`0x28`).
     Mechanism(MechanismReport),
     /// A frequency-oracle report (frame tags `0x31`–`0x33`).
     Oracle(OracleReport),
@@ -310,8 +311,7 @@ impl PipelineReport {
     }
 
     /// The accumulator type tag (`StreamHeader::protocol`) of the
-    /// protocol this report belongs to — the cheap way for a stream
-    /// consumer to check a report against an established header.
+    /// protocol this report belongs to.
     #[must_use]
     pub fn protocol_tag(&self) -> u8 {
         match self {
@@ -319,10 +319,31 @@ impl PipelineReport {
             PipelineReport::Oracle(r) => r.kind().wire_tag(),
         }
     }
+
+    /// Check this report against the stream header it arrived under,
+    /// with the rule [`PipelineAccumulator::absorb`] applies: it must
+    /// belong to the header's protocol, and an InpRR bitset must fit
+    /// the header's `2^d` cells. A stream consumer that routes reports
+    /// to accumulators elsewhere (the collector's worker pool) calls
+    /// this first, so a report it accepted is one every accumulator
+    /// built from `header` absorbs.
+    pub fn check_header(&self, header: &StreamHeader) -> Result<(), String> {
+        if self.protocol_tag() != header.protocol {
+            return Err(format!(
+                "stream mixes protocols: header names tag {:#04x}, report is {}",
+                header.protocol,
+                self.protocol_name()
+            ));
+        }
+        if let PipelineReport::Mechanism(MechanismReport::InpRr(words)) = self {
+            InpRrAggregator::check_bits(header.d, words).map_err(|e| format!("bad report: {e}"))?;
+        }
+        Ok(())
+    }
 }
 
 /// The smallest encodable report blob: tag + version + a 4-byte field
-/// (`REPORT_RR` with an empty ones-vector). Used to reject batch
+/// (an InpRR report with an empty word or position list). Used to reject batch
 /// frames whose count prefix claims more reports than the payload
 /// could possibly hold, before any decode work happens.
 const MIN_REPORT_BLOB_BYTES: u64 = 6;
@@ -434,37 +455,28 @@ impl PipelineAccumulator {
         }
     }
 
-    /// Absorb one decoded report, rejecting cross-protocol mixes.
+    /// Absorb one decoded report. Rejects, by name and absorbing
+    /// nothing, a report of another protocol and an InpRR bitset whose
+    /// word count is not the accumulator's `⌈2^d/64⌉` (or that sets a
+    /// bit past cell `2^d − 1`). Mismatched bitsets are rejected rather
+    /// than folded, so a corrupt or foreign-`d` report can never
+    /// miscount into the state; legacy InpRR position lists keep their
+    /// fold-mod-`2^d` rule.
     pub fn absorb(&mut self, report: &PipelineReport) -> Result<(), String> {
+        if !self.accepts(report) {
+            return Err(self.refusal(report));
+        }
         match (self, report) {
             (PipelineAccumulator::Mechanism(acc), PipelineReport::Mechanism(report)) => {
-                if report.kind() != acc.kind() {
-                    return Err(format!(
-                        "stream mixes protocols: {} accumulator got a {} report",
-                        acc.kind().name(),
-                        report.kind().name()
-                    ));
-                }
                 acc.absorb(report);
-                Ok(())
             }
             (PipelineAccumulator::Oracle(acc), PipelineReport::Oracle(report)) => {
-                if report.kind() != acc.kind() {
-                    return Err(format!(
-                        "stream mixes protocols: {} accumulator got a {} report",
-                        acc.kind().name(),
-                        report.kind().name()
-                    ));
-                }
                 acc.absorb(report);
-                Ok(())
             }
-            (acc, report) => Err(format!(
-                "stream mixes protocols: {} accumulator got a {} report",
-                acc.protocol_name(),
-                report.protocol_name()
-            )),
+            // `accepts` refused every other pairing.
+            _ => {}
         }
+        Ok(())
     }
 
     /// Absorb one report frame payload.
@@ -475,6 +487,10 @@ impl PipelineAccumulator {
     /// Whether [`PipelineAccumulator::absorb`] would accept this report.
     fn accepts(&self, report: &PipelineReport) -> bool {
         match (self, report) {
+            (
+                PipelineAccumulator::Mechanism(MechanismAccumulator::InpRr(acc)),
+                PipelineReport::Mechanism(MechanismReport::InpRr(words)),
+            ) => acc.check_report(words).is_ok(),
             (PipelineAccumulator::Mechanism(a), PipelineReport::Mechanism(r)) => {
                 a.kind() == r.kind()
             }
@@ -483,21 +499,43 @@ impl PipelineAccumulator {
         }
     }
 
+    /// The named error for a report [`PipelineAccumulator::accepts`]
+    /// refused.
+    fn refusal(&self, report: &PipelineReport) -> String {
+        if let (
+            PipelineAccumulator::Mechanism(MechanismAccumulator::InpRr(acc)),
+            PipelineReport::Mechanism(MechanismReport::InpRr(words)),
+        ) = (self, report)
+        {
+            if let Err(e) = acc.check_report(words) {
+                return format!("bad report: {e}");
+            }
+        }
+        format!(
+            "stream mixes protocols: {} accumulator got a {} report",
+            self.protocol_name(),
+            report.protocol_name()
+        )
+    }
+
     /// Absorb a buffer of decoded reports with the protocol dispatch
     /// and kind check hoisted out of the hot loop: one validation pass,
-    /// then the type-erased batch kernels (`InpEM` routes through its
-    /// group-by-value kernel). Rejects the whole batch — absorbing
-    /// nothing — if any report mixes protocols, where the serial loop
-    /// would have absorbed the prefix before the offending report.
+    /// then the type-erased batch kernels (`InpRR` routes through its
+    /// bit-sliced kernel, `InpEM` through its group-by-value kernel).
+    /// Rejects the whole batch — absorbing nothing — if any report
+    /// fails [`PipelineAccumulator::absorb`]'s checks, where the serial
+    /// loop would have absorbed the prefix before the offending report.
     pub fn absorb_batch(&mut self, reports: &[PipelineReport]) -> Result<(), String> {
         if let Some(bad) = reports.iter().find(|r| !self.accepts(r)) {
-            return Err(format!(
-                "stream mixes protocols: {} accumulator got a {} report",
-                self.protocol_name(),
-                bad.protocol_name()
-            ));
+            return Err(self.refusal(bad));
         }
         match self {
+            PipelineAccumulator::Mechanism(MechanismAccumulator::InpRr(a)) => {
+                a.absorb_batch_by(reports, |r| match r {
+                    PipelineReport::Mechanism(m) => m.inp_rr_ref(),
+                    PipelineReport::Oracle(_) => None,
+                });
+            }
             PipelineAccumulator::Mechanism(MechanismAccumulator::InpEm(a)) => {
                 a.absorb_batch_iter(reports.iter().map(|r| match r {
                     PipelineReport::Mechanism(MechanismReport::InpEm(row)) => *row,

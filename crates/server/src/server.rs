@@ -228,8 +228,10 @@ fn absorb_drained(acc: &mut PipelineAccumulator, batch: &mut Vec<PipelineReport>
         return;
     }
     // Handlers validate every report against the established header
-    // before dispatching, so a rejected batch can only mean a logic
-    // error upstream; account for it rather than crash the worker.
+    // with `PipelineReport::check_header` — the rule `absorb_batch`
+    // applies — before dispatching, so a rejected batch can only mean
+    // a logic error upstream; account for it rather than crash the
+    // worker.
     match acc.absorb_batch(batch) {
         Ok(()) => {
             shared
@@ -1004,18 +1006,15 @@ fn handle_ingest(
                 }
             }
             Ok(true) => {
-                let report = match PipelineReport::from_bytes(&frame) {
-                    Ok(report) if report.protocol_tag() == header.protocol => report,
-                    Ok(report) => {
-                        let message = format!(
-                            "stream mixes protocols: header names tag {:#04x}, report is {}",
-                            header.protocol,
-                            report.protocol_name()
-                        );
-                        shared.rejected_frames.fetch_add(1, Ordering::Relaxed);
-                        reply(writer, &Response::Error(message.clone()))?;
-                        return Err(message);
-                    }
+                // Validate against the header here, with the same rule
+                // the accumulators apply: a report that reaches a
+                // worker's drained batch can then never make it refuse
+                // the batch, which would drop other connections'
+                // already-counted reports.
+                let checked = PipelineReport::from_bytes(&frame)
+                    .and_then(|report| report.check_header(&header).map(|()| report));
+                let report = match checked {
+                    Ok(report) => report,
                     Err(message) => {
                         shared.rejected_frames.fetch_add(1, Ordering::Relaxed);
                         reply(writer, &Response::Error(message.clone()))?;

@@ -876,3 +876,78 @@ fn mixed_single_and_batch_frames_coexist_on_one_stream() {
     let _ = std::fs::remove_dir_all(&batched_dir);
     let _ = std::fs::remove_dir_all(&single_dir);
 }
+
+/// InpRR bitsets are checked against the stream header before they
+/// reach a worker. A mis-sized bitset (wrong word count) or one that
+/// sets a bit past cell `2^d − 1`, sent as a single-report frame, is
+/// refused by name on its own connection — while another client
+/// streams valid reports into the same (single) worker, whose drained
+/// batches must never be refused as a whole because of it. The valid
+/// client's ack and the live snapshot then match a serial ingest of
+/// its stream exactly.
+#[test]
+fn mis_sized_inp_rr_bitsets_are_refused_without_dropping_other_clients() {
+    let dir = scratch("inp_rr_bad_bits");
+    let (header, frames) = encoded_stream(&dir, "InpRR", &[], 300);
+    // d = 4: 16 cells, one u64 word after the tag, version and count.
+    assert!(frames.iter().all(|f| f.len() == 2 + 4 + 8));
+    let mut two_words = frames[0].clone();
+    two_words[2..6].copy_from_slice(&2u32.to_le_bytes());
+    two_words.extend_from_slice(&[0; 8]);
+    let mut past_domain = frames[0].clone();
+    past_domain[6 + 2] |= 0x10; // cell 20 of a 16-cell domain
+    let server = ServerProc::start(&["--shards", "1"]);
+
+    const BAD_PUSHES: usize = 20;
+    std::thread::scope(|scope| {
+        let (addr, header) = (&server.addr, &header);
+        scope.spawn(move || match push_stream(addr, header, &frames) {
+            Response::Ingested(300) => {}
+            other => panic!("valid InpRR stream got {other:?}"),
+        });
+        for (bad, expect) in [
+            (&two_words, "InpRR bitset word count"),
+            (&past_domain, "sets a bit past"),
+        ] {
+            scope.spawn(move || {
+                for _ in 0..BAD_PUSHES {
+                    match push_stream(addr, header, std::slice::from_ref(bad)) {
+                        Response::Error(message) => assert!(message.contains(expect), "{message}"),
+                        other => panic!("bad InpRR bitset got {other:?}"),
+                    }
+                }
+            });
+        }
+    });
+
+    let stats = String::from_utf8(run_cli(&["stats", "--connect", &server.addr], None)).unwrap();
+    assert!(
+        stats.contains(&format!(
+            "reports: 300 absorbed, {} frames rejected",
+            2 * BAD_PUSHES
+        )),
+        "{stats}"
+    );
+    let live_path = dir.join("live.bin");
+    run_cli(
+        &[
+            "snapshot",
+            "--connect",
+            &server.addr,
+            "--output",
+            live_path.to_str().unwrap(),
+        ],
+        None,
+    );
+    server.shutdown();
+    let serial = run_cli(
+        &["ingest"],
+        Some(&std::fs::read(dir.join("stream.bin")).unwrap()),
+    );
+    assert_eq!(
+        std::fs::read(&live_path).unwrap(),
+        serial,
+        "live snapshot differs from a serial ingest of the valid stream"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
