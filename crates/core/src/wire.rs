@@ -465,14 +465,14 @@ impl<'a> Reader<'a> {
     pub fn get_u64_vec(&mut self) -> Result<Vec<u64>, WireError> {
         let prefix = self.get_u64()?;
         let len = self.checked_len(prefix, 8)?;
-        (0..len).map(|_| self.get_u64()).collect()
+        self.get_n(len, Self::get_u64)
     }
 
     /// Read a length-prefixed `i64` vector.
     pub fn get_i64_vec(&mut self) -> Result<Vec<i64>, WireError> {
         let prefix = self.get_u64()?;
         let len = self.checked_len(prefix, 8)?;
-        (0..len).map(|_| self.get_i64()).collect()
+        self.get_n(len, Self::get_i64)
     }
 
     /// Read a `u32`-length-prefixed `u16` vector, rejecting absurd
@@ -550,7 +550,23 @@ impl<'a> Reader<'a> {
     pub fn get_f64_vec(&mut self) -> Result<Vec<f64>, WireError> {
         let prefix = self.get_u64()?;
         let len = self.checked_len(prefix, 8)?;
-        (0..len).map(|_| self.get_f64()).collect()
+        self.get_n(len, Self::get_f64)
+    }
+
+    /// Read `len` (already [`checked_len`](Self::checked_len)-bounded)
+    /// elements with `get` into a vector allocated once at exactly
+    /// `len`: collecting through `Result` would grow it by doubling, to
+    /// up to twice the bytes the input holds.
+    fn get_n<T>(
+        &mut self,
+        len: usize,
+        get: fn(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(get(self)?);
+        }
+        Ok(out)
     }
 
     /// Assert the whole blob was consumed.

@@ -325,11 +325,12 @@ impl Response {
             }
             Some(tag::RESP_ERROR) => {
                 let mut r = Reader::with_tag(bytes, tag::RESP_ERROR)?;
-                let message = r.get_bytes()?;
+                // Strict UTF-8, as the spec requires: a lossy decode
+                // would grow each invalid byte into a 3-byte U+FFFD.
+                let message = String::from_utf8(r.get_bytes()?)
+                    .map_err(|_| WireError::Invalid("error message is not UTF-8"))?;
                 r.finish()?;
-                Ok(Response::Error(
-                    String::from_utf8_lossy(&message).into_owned(),
-                ))
+                Ok(Response::Error(message))
             }
             _ => Err(WireError::Invalid("unknown response tag")),
         }

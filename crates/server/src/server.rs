@@ -13,6 +13,12 @@
 //! partition-invariance law makes the result byte-identical to a
 //! serial single-process ingest of the same reports, no matter how
 //! connections, batches, and workers interleaved.
+//!
+//! The accept loop blocks in `accept`. A shutdown request wakes it by
+//! opening one loopback connection to the server's own port, which is
+//! neither served nor counted. A federated collector's relay thread
+//! sleeps until its next push is due and is woken by shutdown too, so
+//! an idle server makes no timed wake-ups in either thread.
 
 use crate::client::Control;
 use crate::protocol::{PushRequest, QueryTarget, Request, Response, ServerStats};
@@ -27,10 +33,10 @@ use ldp_oracles::pipeline::{
 use ldp_oracles::FrequencyOracle;
 use std::collections::BTreeMap;
 use std::io::BufWriter;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -38,10 +44,6 @@ use std::time::{Duration, Instant};
 /// connection handler can go without noticing a shutdown (the
 /// `keep_going` check of `FrameReader::next_frame_while`).
 const READ_TIMEOUT: Duration = Duration::from_millis(25);
-
-/// How often the relay thread wakes to check the push interval, the
-/// shutdown flag, and backoff expiry.
-const RELAY_POLL: Duration = Duration::from_millis(25);
 
 /// Connect timeout for upstream pushes — tighter than the client
 /// default so a dead upstream costs one backoff step, not seconds, per
@@ -61,14 +63,6 @@ const RELAY_BACKOFF_MAX: Duration = Duration::from_secs(2);
 /// Bounded retry budget for the one final upstream push during a
 /// graceful shutdown (a dead upstream must not wedge shutdown).
 const FINAL_PUSH_ATTEMPTS: u32 = 4;
-
-/// How often the (non-blocking) accept loop polls for the shutdown
-/// flag while no connection is pending. Also the worst-case latency
-/// before a new connection is accepted, so it is kept small: at 1 ms
-/// the idle loop costs ~1000 no-op `accept` calls per second
-/// (negligible), while connection setup stays off the critical path
-/// of short ingest bursts.
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
 
 /// What a worker thread can be asked to do. Channel order is the
 /// contract: a `Flush` or `Collect` answers only after every report the
@@ -181,7 +175,14 @@ pub struct Recovery {
 /// State shared by the accept loop and every connection handler.
 struct Shared {
     shards: usize,
-    shutdown: AtomicBool,
+    /// Set once, when a graceful shutdown begins.
+    shutdown: Mutex<bool>,
+    /// Notified when `shutdown` is set (wakes the relay thread).
+    shutdown_signal: Condvar,
+    /// Where a loopback connection reaches the listener: the bound
+    /// address, with a wildcard IP rewritten to loopback. Shutdown
+    /// connects here once to wake the blocking accept loop.
+    wake_addr: SocketAddr,
     next_worker: AtomicUsize,
     reports: AtomicU64,
     connections_accepted: AtomicU64,
@@ -327,8 +328,35 @@ fn worker_loop(mut acc: PipelineAccumulator, rx: mpsc::Receiver<WorkerMsg>, shar
 }
 
 impl Shared {
+    /// Lock the shutdown flag, recovering from poison (a `bool` is
+    /// valid at every instruction).
+    fn lock_shutdown(&self) -> MutexGuard<'_, bool> {
+        self.shutdown.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn keep_going(&self) -> bool {
-        !self.shutdown.load(Ordering::SeqCst)
+        !*self.lock_shutdown()
+    }
+
+    /// Start a graceful shutdown: set the flag, wake the relay thread,
+    /// and open (and drop) one loopback connection so the blocking
+    /// accept loop returns and sees the flag.
+    fn begin_shutdown(&self) {
+        *self.lock_shutdown() = true;
+        self.shutdown_signal.notify_all();
+        // A failed connect is ignored: the accept loop then stops at
+        // the next connection it accepts.
+        let _ = TcpStream::connect(self.wake_addr);
+    }
+
+    /// Sleep for `timeout` or until shutdown begins, whichever is
+    /// first. Returns whether the server is still running.
+    fn wait_for(&self, timeout: Duration) -> bool {
+        let (stopped, _) = self
+            .shutdown_signal
+            .wait_timeout_while(self.lock_shutdown(), timeout, |stopped| !*stopped)
+            .unwrap_or_else(PoisonError::into_inner);
+        !*stopped
     }
 
     /// Lock the pipeline slot, recovering from poison: the lock is only
@@ -670,33 +698,37 @@ impl Shared {
 
 /// The relay thread of a non-root collector: push the merged view
 /// upstream every `push_every`, backing off (doubling, capped) while
-/// the upstream is unreachable, until shutdown.
+/// the upstream is unreachable, until shutdown. Between pushes the
+/// thread sleeps until the next one is due; shutdown wakes it.
 fn relay_loop(shared: &Arc<Shared>, upstream: &str) {
-    let mut last_push = Instant::now();
+    let mut wait = shared.push_every;
     let mut backoff = RELAY_BACKOFF_MIN;
-    let mut retry_at: Option<Instant> = None;
-    while shared.keep_going() {
-        std::thread::sleep(RELAY_POLL);
-        let due = match retry_at {
-            Some(at) => Instant::now() >= at,
-            None => last_push.elapsed() >= shared.push_every,
-        };
-        if !due {
-            continue;
-        }
+    while shared.wait_for(wait) {
         match shared.push_upstream(upstream) {
             Ok(_) => {
-                last_push = Instant::now();
+                wait = shared.push_every;
                 backoff = RELAY_BACKOFF_MIN;
-                retry_at = None;
             }
             Err(e) => {
                 eprintln!("relay: push to {upstream} failed: {e}");
-                retry_at = Some(Instant::now() + backoff);
+                wait = backoff;
                 backoff = (backoff * 2).min(RELAY_BACKOFF_MAX);
             }
         }
     }
+}
+
+/// `addr` with a wildcard IP (`0.0.0.0` / `::`) replaced by the
+/// loopback address of the same family: somewhere this host can
+/// connect to reach a listener bound at `addr`.
+fn loopback(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// What [`Server::run`] returns after a graceful shutdown.
@@ -739,6 +771,9 @@ impl Server {
         }
         let listener = TcpListener::bind(&config.listen)
             .map_err(|e| format!("cannot listen on {}: {e}", config.listen))?;
+        let bound = listener
+            .local_addr()
+            .map_err(|e| format!("cannot read the bound address: {e}"))?;
         let recovered = match config.checkpoint.as_ref() {
             Some(path) if path.exists() => Some(read_checkpoint(path)?),
             _ => None,
@@ -747,11 +782,12 @@ impl Server {
             .collector
             .clone()
             .or_else(|| recovered.as_ref().map(|cp| cp.collector.clone()))
-            .or_else(|| listener.local_addr().ok().map(|a| a.to_string()))
-            .unwrap_or_else(|| config.listen.clone());
+            .unwrap_or_else(|| bound.to_string());
         let shared = Arc::new(Shared {
             shards: config.shards,
-            shutdown: AtomicBool::new(false),
+            shutdown: Mutex::new(false),
+            shutdown_signal: Condvar::new(),
+            wake_addr: loopback(bound),
             next_worker: AtomicUsize::new(0),
             reports: AtomicU64::new(0),
             connections_accepted: AtomicU64::new(0),
@@ -816,16 +852,16 @@ impl Server {
     /// connection handlers, take the final snapshot, and tear down the
     /// worker pool.
     pub fn run(self) -> Result<ServerSummary, String> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("cannot poll the listener: {e}"))?;
         let relay = self.shared.upstream.clone().map(|upstream| {
             let shared = Arc::clone(&self.shared);
             std::thread::spawn(move || relay_loop(&shared, &upstream))
         });
         let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-        while self.shared.keep_going() {
+        loop {
             match self.listener.accept() {
+                // Shutdown's wake connection (or a client racing it):
+                // stop without serving or counting it.
+                Ok(_) if !self.shared.keep_going() => break,
                 Ok((stream, _peer)) => {
                     self.shared
                         .connections_accepted
@@ -836,14 +872,12 @@ impl Server {
                     }));
                     handlers.retain(|h| !h.is_finished());
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(format!("accept failed: {e}")),
             }
         }
         // Handlers notice the flag within one READ_TIMEOUT window; the
-        // relay thread within one RELAY_POLL.
+        // relay thread was woken when the flag was set.
         for handle in handlers {
             let _ = handle.join();
         }
@@ -920,8 +954,7 @@ fn reply(writer: &mut ConnWriter, response: &Response) -> Result<(), String> {
 
 fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> Result<(), String> {
     stream
-        .set_nonblocking(false)
-        .and_then(|()| stream.set_read_timeout(Some(READ_TIMEOUT)))
+        .set_read_timeout(Some(READ_TIMEOUT))
         .and_then(|()| stream.set_nodelay(true))
         .map_err(|e| format!("cannot configure the socket: {e}"))?;
     let read_half = stream
@@ -1106,7 +1139,7 @@ fn handle_control(
             ),
             Ok(Request::Stats) => (Response::Stats(shared.stats()), false),
             Ok(Request::Shutdown) => {
-                shared.shutdown.store(true, Ordering::SeqCst);
+                shared.begin_shutdown();
                 (
                     Response::Shutdown(shared.reports.load(Ordering::Relaxed)),
                     true,

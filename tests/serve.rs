@@ -17,15 +17,21 @@
 //! mid-batch-frame, and corrupt batch envelopes — in every case the
 //! server must keep exactly the complete frames it saw and end up
 //! byte-identical to serial ingest once the tail is resent.
+//!
+//! The shutdown tests run an in-process `ldp_server::Server` instead,
+//! one per bind address (IPv4 loopback, the IPv4 wildcard, IPv6
+//! loopback): a shutdown request must wake the blocking accept loop,
+//! and the connection that wakes it is never counted.
 
 use ldp_core::frame::{FrameReader, FrameWriter, StreamHeader};
-use ldp_server::Response;
+use ldp_server::{push_with, Control, Request, Response, Server};
+use marginal_ldp::core::MechanismKind;
 use marginal_ldp::oracles::pipeline::encode_report_batch;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::{Ipv4Addr, Shutdown, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::OnceLock;
+use std::sync::{mpsc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Build (once) and locate the release `ldp-cli` binary.
@@ -950,4 +956,98 @@ fn mis_sized_inp_rr_bitsets_are_refused_without_dropping_other_clients() {
         "live snapshot differs from a serial ingest of the valid stream"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What an in-process server sees before its shutdown request.
+#[derive(Clone, Copy, Debug)]
+enum BeforeShutdown {
+    Nothing,
+    /// A second control connection, held open and idle.
+    IdleControl,
+    /// 100 back-to-back header-only ingest streams.
+    HeaderOnlyPushes,
+}
+
+/// Bind an in-process server at `listen`, run it, apply `before`, and
+/// shut it down over a control connection. `run` must return within
+/// 2 s, and both `Stats.connections_accepted` and the summary must
+/// count exactly the connections made here: the loopback connection
+/// that wakes the blocking accept is never counted. Returns `false`
+/// without testing if the host cannot bind `listen`.
+fn shutdown_wakes_the_accept_loop(listen: &str, before: BeforeShutdown) -> bool {
+    let Ok(server) = Server::bind(listen, 2) else {
+        return false;
+    };
+    let mut addr = server.local_addr().unwrap();
+    if addr.ip().is_unspecified() {
+        addr.set_ip(Ipv4Addr::LOCALHOST.into());
+    }
+    let addr = addr.to_string();
+    let (done, finished) = mpsc::channel();
+    let runner = std::thread::spawn(move || done.send(server.run()));
+
+    let mut made = 0u64;
+    let mut idle = None;
+    match before {
+        BeforeShutdown::Nothing => {}
+        BeforeShutdown::IdleControl => {
+            let mut control = Control::connect(&addr).unwrap();
+            // A first request proves the connection was accepted.
+            control.request(&Request::Stats).unwrap();
+            idle = Some(control);
+            made += 1;
+        }
+        BeforeShutdown::HeaderOnlyPushes => {
+            let header = StreamHeader::mechanism(MechanismKind::InpHt, 8, 2, 1.1);
+            for _ in 0..100 {
+                assert_eq!(push_with(&addr, &header, |_| Ok(())), Ok(0));
+                made += 1;
+            }
+        }
+    }
+    let mut control = Control::connect(&addr).unwrap();
+    made += 1;
+    match control.request(&Request::Stats).unwrap() {
+        Response::Stats(stats) => assert_eq!(stats.connections_accepted, made, "{before:?}"),
+        other => panic!("unexpected stats response: {other:?}"),
+    }
+    match control.request(&Request::Shutdown).unwrap() {
+        Response::Shutdown(0) => {}
+        other => panic!("unexpected shutdown response: {other:?}"),
+    }
+    let summary = finished
+        .recv_timeout(Duration::from_secs(2))
+        .unwrap_or_else(|_| panic!("{listen} {before:?}: run() still serving 2 s after shutdown"))
+        .unwrap();
+    runner.join().unwrap().unwrap();
+    assert_eq!(summary.connections, made, "{listen} {before:?}");
+    drop(idle);
+    true
+}
+
+fn shutdown_wakes_the_accept_loop_in_every_case(listen: &str) -> bool {
+    [
+        BeforeShutdown::Nothing,
+        BeforeShutdown::IdleControl,
+        BeforeShutdown::HeaderOnlyPushes,
+    ]
+    .into_iter()
+    .all(|before| shutdown_wakes_the_accept_loop(listen, before))
+}
+
+#[test]
+fn shutdown_wakes_the_blocking_accept_on_ipv4_loopback() {
+    assert!(shutdown_wakes_the_accept_loop_in_every_case("127.0.0.1:0"));
+}
+
+#[test]
+fn shutdown_wakes_the_blocking_accept_on_the_ipv4_wildcard() {
+    assert!(shutdown_wakes_the_accept_loop_in_every_case("0.0.0.0:0"));
+}
+
+#[test]
+fn shutdown_wakes_the_blocking_accept_on_ipv6_loopback() {
+    if !shutdown_wakes_the_accept_loop_in_every_case("[::1]:0") {
+        eprintln!("skipped: this host cannot bind [::1]");
+    }
 }
