@@ -1,6 +1,6 @@
 #![forbid(unsafe_code)]
 //! Streaming-ingest experiment: reports/sec and accumulator memory of
-//! the incremental [`Accumulator`] path vs materializing every report
+//! the incremental accumulator path vs materializing every report
 //! before aggregating.
 //!
 //! ```text
@@ -17,26 +17,29 @@
 //!   (`report buf` estimates its heap footprint), then `absorb_batch`.
 //!
 //! Both paths must produce byte-identical accumulator state — the
-//! partition/order-invariance law of [`Accumulator`] — which is asserted
+//! partition/order-invariance law of `ldp_core::Accumulator` — which is asserted
 //! before anything is printed. The interesting columns at scale: the
 //! accumulator state is O(mechanism dimensions), independent of n,
 //! while the report buffer grows linearly with n.
 
 use ldp_bench::DataSource;
-use ldp_core::{user_rng, Accumulator, MechanismKind, MechanismReport};
+use ldp_core::frame::StreamHeader;
+use ldp_core::{user_rng, MechanismKind};
+use ldp_oracles::pipeline::{Client, PipelineAccumulator, PipelineReport};
 use std::time::Instant;
 
 /// Approximate heap footprint of a materialized report buffer, in bytes.
-fn report_buffer_bytes(reports: &[MechanismReport]) -> usize {
-    let inline = std::mem::size_of::<MechanismReport>();
+fn report_buffer_bytes(reports: &[PipelineReport]) -> usize {
+    let inline = std::mem::size_of::<PipelineReport>();
     reports
         .iter()
         .map(|r| {
             inline
                 + match r {
-                    MechanismReport::InpRr(words) => words.len() * std::mem::size_of::<u64>(),
-                    MechanismReport::InpRrList(ones) => ones.len() * std::mem::size_of::<u32>(),
-                    MechanismReport::MargRr(r) => r.ones.len() * std::mem::size_of::<u16>(),
+                    PipelineReport::InpRr(words) => words.len() * std::mem::size_of::<u64>(),
+                    PipelineReport::InpRrList(ones) => ones.len() * std::mem::size_of::<u32>(),
+                    PipelineReport::MargRr(r) => r.ones.len() * std::mem::size_of::<u16>(),
+                    PipelineReport::Cms(r) => r.ones.len() * std::mem::size_of::<u16>(),
                     _ => 0,
                 }
         })
@@ -75,31 +78,36 @@ fn main() {
         "", "stream", "reports/s", "batch", "report buf", "acc state"
     );
     for kind in MechanismKind::ALL {
-        let mechanism = kind.build(d, k, eps);
+        let header = StreamHeader::mechanism(kind, d, k, eps);
+        let client = Client::from_header(&header).expect("valid parameters");
+        let empty = || PipelineAccumulator::empty(&header).expect("valid parameters");
 
         // Streaming: one report in flight at a time.
         let t0 = Instant::now();
-        let mut acc = mechanism.accumulator();
+        let mut acc = empty();
         for (user, &row) in data.rows().iter().enumerate() {
             let mut rng = user_rng(seed, user as u64);
-            acc.absorb(&mechanism.encode(row, &mut rng));
+            acc.absorb(&client.encode(row, &mut rng))
+                .expect("a report of the pipeline's own protocol");
         }
         let t_stream = t0.elapsed();
 
         // Materialized: all reports buffered, then batch-absorbed.
-        let reports: Vec<MechanismReport> = data
+        let reports: Vec<PipelineReport> = data
             .rows()
             .iter()
             .enumerate()
             .map(|(user, &row)| {
                 let mut rng = user_rng(seed, user as u64);
-                mechanism.encode(row, &mut rng)
+                client.encode(row, &mut rng)
             })
             .collect();
         let buffer_bytes = report_buffer_bytes(&reports);
         let t0 = Instant::now();
-        let mut batched = mechanism.accumulator();
-        batched.absorb_batch(&reports);
+        let mut batched = empty();
+        batched
+            .absorb_batch(&reports)
+            .expect("reports of the pipeline's own protocol");
         let t_batch = t0.elapsed();
 
         let state = acc.to_bytes();

@@ -15,7 +15,8 @@
 use crate::DataSource;
 use ldp_core::frame::StreamHeader;
 use ldp_core::wire::Writer;
-use ldp_core::{user_rng, Accumulator, MechanismKind, MechanismReport};
+use ldp_core::{user_rng, MechanismKind};
+use ldp_oracles::pipeline::{Client, PipelineAccumulator, PipelineReport};
 use std::time::Instant;
 
 /// How a grid point is measured.
@@ -237,7 +238,8 @@ pub fn run_point(
     if point.mode == PointMode::Serve {
         return run_serve_point(point, reps, seed);
     }
-    let mech = point.mechanism.build(point.d, point.k, point.eps);
+    let header = StreamHeader::mechanism(point.mechanism, point.d, point.k, point.eps);
+    let client = Client::from_header(&header).expect("scenario points are valid pipelines");
     let data = if point.d == 8 {
         DataSource::Taxi.generate(point.d, point.n, seed)
     } else {
@@ -248,25 +250,31 @@ pub fn run_point(
     // the other rates): batch == 0 measures the serial per-user encode
     // loop, batch > 0 the batched kernel writing REPORT_BATCH frames
     // into one reused Writer.
-    let best_encode = measure_encode(&mech, data.rows(), point.batch, reps, seed);
+    let best_encode = measure_encode(&client, data.rows(), point.batch, reps, seed);
 
     // The report buffer the ingest/merge measurements consume, plus the
     // wire size of what the population would transmit (untimed).
-    let reports: Vec<MechanismReport> = data
+    let reports: Vec<PipelineReport> = data
         .rows()
         .iter()
         .enumerate()
         .map(|(user, &row)| {
             let mut rng = user_rng(seed, user as u64);
-            mech.encode(row, &mut rng)
+            client.encode(row, &mut rng)
         })
         .collect();
+    let empty =
+        || PipelineAccumulator::empty(&header).expect("scenario points are valid pipelines");
+    let absorb = |acc: &mut PipelineAccumulator, reports: &[PipelineReport]| {
+        acc.absorb_batch(reports)
+            .expect("reports match their own header");
+    };
     let wire_bytes: usize = reports.iter().map(|r| r.to_bytes().len()).sum();
 
     // Snapshot size after one full ingest (state size is count-invariant,
     // so this is independent of the timing loops below).
-    let mut acc = mech.accumulator();
-    acc.absorb_batch(&reports);
+    let mut acc = empty();
+    absorb(&mut acc, &reports);
     let snapshot_bytes = acc.to_bytes().len();
 
     // Server ingest: absorb the full report buffer repeatedly inside a
@@ -275,13 +283,13 @@ pub fn run_point(
     // server worker drain and the CLI ingest scratch actually run.
     let mut best_ingest = 0.0f64;
     for _ in 0..reps {
-        let mut sink = mech.accumulator();
+        let mut sink = empty();
         let (elapsed, iters) = time_at_least(|| {
             if point.batch == 0 {
-                sink.absorb_batch(&reports);
+                absorb(&mut sink, &reports);
             } else {
                 for chunk in reports.chunks(point.batch) {
-                    sink.absorb_batch(chunk);
+                    absorb(&mut sink, chunk);
                 }
             }
             std::hint::black_box(&sink);
@@ -297,8 +305,8 @@ pub fn run_point(
     let parts: Vec<_> = reports
         .chunks(chunk)
         .map(|slice| {
-            let mut part = mech.accumulator();
-            part.absorb_batch(slice);
+            let mut part = empty();
+            absorb(&mut part, slice);
             part
         })
         .collect();
@@ -312,7 +320,7 @@ pub fn run_point(
             let mut fold = parts.clone().into_iter();
             let mut base = fold.next().expect("at least one shard");
             for part in fold {
-                base.merge(part);
+                base.merge(part).expect("shards share one header");
             }
             std::hint::black_box(&base);
         });
@@ -339,13 +347,7 @@ pub fn run_point(
 /// `batch`-row chunks into one reused [`Writer`] — both under the same
 /// `user_rng(seed, user)` schedule, so the two rates compare the
 /// kernels, not the workloads.
-fn measure_encode(
-    mech: &ldp_core::Mechanism,
-    rows: &[u64],
-    batch: usize,
-    reps: usize,
-    seed: u64,
-) -> f64 {
+fn measure_encode(client: &Client, rows: &[u64], batch: usize, reps: usize, seed: u64) -> f64 {
     let n = rows.len();
     let mut best = 0.0f64;
     for _ in 0..reps {
@@ -353,14 +355,14 @@ fn measure_encode(
             time_at_least(|| {
                 for (user, &row) in rows.iter().enumerate() {
                     let mut rng = user_rng(seed, user as u64);
-                    std::hint::black_box(mech.encode(row, &mut rng));
+                    std::hint::black_box(client.encode(row, &mut rng));
                 }
             })
         } else {
             let mut w = Writer::default();
             time_at_least(|| {
                 for (chunk_index, chunk) in rows.chunks(batch).enumerate() {
-                    mech.encode_batch(chunk, seed, (chunk_index * batch) as u64, &mut w);
+                    client.encode_batch(chunk, seed, (chunk_index * batch) as u64, &mut w);
                     std::hint::black_box(w.as_bytes());
                 }
             })
@@ -390,7 +392,8 @@ pub const SERVE_SHARDS: usize = 4;
 fn run_serve_point(point: &ScenarioPoint, reps: usize, seed: u64) -> PointResult {
     use ldp_server::{Control, Request, Response, Server};
 
-    let mech = point.mechanism.build(point.d, point.k, point.eps);
+    let header = StreamHeader::mechanism(point.mechanism, point.d, point.k, point.eps);
+    let client = Client::from_header(&header).expect("scenario points are valid pipelines");
     let data = if point.d == 8 {
         DataSource::Taxi.generate(point.d, point.n, seed)
     } else {
@@ -399,19 +402,18 @@ fn run_serve_point(point: &ScenarioPoint, reps: usize, seed: u64) -> PointResult
 
     // Client encode pass (timed like the batch mode), then the framed
     // wire form each client will push, built untimed.
-    let best_encode = measure_encode(&mech, data.rows(), point.batch, reps, seed);
+    let best_encode = measure_encode(&client, data.rows(), point.batch, reps, seed);
     let frames: Vec<Vec<u8>> = data
         .rows()
         .iter()
         .enumerate()
         .map(|(user, &row)| {
             let mut rng = user_rng(seed, user as u64);
-            mech.encode(row, &mut rng).to_bytes()
+            client.encode_report(row, &mut rng)
         })
         .collect();
     let wire_bytes: usize = frames.iter().map(Vec::len).sum();
 
-    let header = StreamHeader::mechanism(point.mechanism, point.d, point.k, point.eps);
     let server = Server::bind("127.0.0.1:0", SERVE_SHARDS).expect("bind the bench server");
     let addr = server
         .local_addr()

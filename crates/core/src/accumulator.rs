@@ -14,9 +14,9 @@ use crate::wire::WireError;
 /// process boundaries ([`Accumulator::to_bytes`] /
 /// [`Accumulator::from_bytes`]), and only at the very end pay for
 /// estimation ([`Accumulator::finalize`]). Nothing requires the
-/// population to ever be materialized in memory. See
-/// [`crate::MechanismAccumulator`] for the type-erased form covering
-/// every [`crate::MechanismKind`].
+/// population to ever be materialized in memory. Every mechanism and
+/// frequency-oracle aggregator implements it; the one type-erased form
+/// covering all ten protocols is `ldp_oracles::pipeline::PipelineAccumulator`.
 ///
 /// # The partition-invariance law
 ///

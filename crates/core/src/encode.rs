@@ -1,13 +1,13 @@
 //! Batched encode kernels: serialize many users' reports straight into
 //! one reusable [`tag::REPORT_BATCH`] frame buffer.
 //!
-//! This mirrors the `absorb_batch` side of the ingest path (PR 5): the
-//! serial client path allocates a [`crate::MechanismReport`] plus a
-//! `to_bytes` `Vec` per user and then concatenates them; the kernels
-//! here hoist the per-report branchy setup (probability quantization,
-//! dispatch) out of the loop and write each report's bytes directly
-//! into a caller-owned [`Writer`], allocating nothing per report in
-//! steady state. Every report is still encoded under its own
+//! This mirrors the `absorb_batch` side of the ingest path: the serial
+//! client path allocates a typed report plus a `to_bytes` `Vec` per
+//! user (`ldp_oracles::pipeline::PipelineReport`) and then
+//! concatenates them; the kernels here hoist the per-report dispatch
+//! out of the loop and write each report's bytes directly into a
+//! caller-owned [`Writer`], allocating nothing per report in steady
+//! state. Every report is still encoded under its own
 //! `user_rng(seed, user)` stream, so the bytes are identical to the
 //! serial loop (`tests/encode_kernels.rs` proves this per mechanism
 //! under random batch chunkings).
@@ -32,8 +32,8 @@ impl InpRr {
 /// The one writer of the [`tag::REPORT_INP_RR_BITS`] layout: tag and
 /// version, the `u32` word count, then the `count` `u64` words `fill`
 /// appends (cell 0 is the LSB of word 0). Shared by the encoders above
-/// and `MechanismReport::to_bytes`.
-pub(crate) fn put_inp_rr_bits(w: &mut Writer, count: usize, fill: impl FnOnce(&mut Writer)) {
+/// and `ldp_oracles::pipeline::PipelineReport::to_bytes`.
+pub fn put_inp_rr_bits(w: &mut Writer, count: usize, fill: impl FnOnce(&mut Writer)) {
     w.put_tag(tag::REPORT_INP_RR_BITS);
     w.put_u32(u32::try_from(count).unwrap_or(u32::MAX));
     fill(w);
@@ -41,8 +41,8 @@ pub(crate) fn put_inp_rr_bits(w: &mut Writer, count: usize, fill: impl FnOnce(&m
 
 impl Mechanism {
     /// Serialize one user's report for `row` directly into `w`,
-    /// byte-identical to `self.encode(row, rng).to_bytes()` appended at
-    /// the writer's current position.
+    /// byte-identical to the typed report's `PipelineReport::to_bytes`
+    /// appended at the writer's current position.
     pub fn encode_report_into<R: rand::Rng + ?Sized>(&self, row: u64, rng: &mut R, w: &mut Writer) {
         match self {
             Mechanism::InpRr(m) => m.write_report(row, rng, w),
@@ -100,28 +100,6 @@ impl Mechanism {
         w.reset_with_tag(tag::REPORT_BATCH);
         w.put_u32(u32::try_from(rows.len()).unwrap_or(u32::MAX));
         match self {
-            Mechanism::InpRr(m) => {
-                for (i, &row) in rows.iter().enumerate() {
-                    let mut rng = user_rng(seed, first_user.wrapping_add(i as u64));
-                    m.write_report(row, &mut rng, w);
-                }
-            }
-            Mechanism::MargRr(m) => {
-                for (i, &row) in rows.iter().enumerate() {
-                    let mut rng = user_rng(seed, first_user.wrapping_add(i as u64));
-                    let (marginal, cell) = m.sample_marginal(row, &mut rng);
-                    w.put_tag(tag::REPORT_MARG_RR);
-                    w.put_u32(marginal);
-                    let prefix = w.len();
-                    w.put_u32(0);
-                    let mut count = 0u32;
-                    m.perturb_table(cell, &mut rng, |c| {
-                        w.put_u16(c);
-                        count = count.saturating_add(1);
-                    });
-                    w.patch_u32(prefix, count);
-                }
-            }
             Mechanism::InpEm(m) => {
                 // Fully branchless inner loop: one XOR mask per user,
                 // with the fixed-point flip threshold hoisted.
@@ -134,9 +112,9 @@ impl Mechanism {
                 }
             }
             _ => {
-                // Fixed-size reports (InpPS, InpHT, MargPS, MargHT):
-                // the per-report sampling is already a handful of draws,
-                // so the win is skipping the report/`Vec` round trip.
+                // The win is skipping the report/`Vec` round trip; the
+                // InpRR and MargRR writers already stream their draws
+                // straight into `w`.
                 for (i, &row) in rows.iter().enumerate() {
                     let mut rng = user_rng(seed, first_user.wrapping_add(i as u64));
                     self.encode_report_into(row, &mut rng, w);

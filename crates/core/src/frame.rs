@@ -8,8 +8,9 @@
 //! that many payload bytes. Two stream shapes are built on top:
 //!
 //! * **report stream** (`ldp-cli encode` output): frame 0 is a
-//!   [`StreamHeader`], every following frame is one serialized
-//!   [`crate::MechanismReport`] (or oracle report);
+//!   [`StreamHeader`], every following frame is one serialized report
+//!   (`ldp_oracles::pipeline::PipelineReport`), or a `REPORT_BATCH` of
+//!   them;
 //! * **snapshot** (`ldp-cli ingest` / `merge` output): frame 0 is the
 //!   same [`StreamHeader`], frame 1 is the [`crate::Accumulator`] state
 //!   (`to_bytes`), and nothing follows.
@@ -894,11 +895,11 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_and_rejects_malformed_streams() {
-        let mech = MechanismKind::MargPs.build(6, 2, 0.8);
+        let mech = crate::MargPs::new(6, 2, 0.8);
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let mut acc = mech.accumulator();
+        let mut acc = mech.aggregator();
         for u in 0..200u64 {
-            acc.absorb(&mech.encode(u % 64, &mut rng));
+            acc.absorb(mech.encode(u % 64, &mut rng));
         }
         let header = StreamHeader::mechanism(MechanismKind::MargPs, 6, 2, 0.8);
 
@@ -907,7 +908,7 @@ mod tests {
         let (back_header, state) = read_snapshot(buf.as_slice()).unwrap();
         assert_eq!(back_header, header);
         assert_eq!(state, acc.to_bytes());
-        let back = crate::MechanismAccumulator::from_bytes(&state).unwrap();
+        let back = crate::MargPsAggregator::from_bytes(&state).unwrap();
         assert_eq!(back.report_count(), 200);
 
         // Missing accumulator frame.

@@ -146,11 +146,12 @@ impl InpEmAggregator {
     }
 
     /// Iterator form of [`InpEmAggregator::absorb_batch`], so
-    /// type-erased report buffers (`MechanismReport` /
-    /// `PipelineReport` slices) reach the group-by-value kernel without
-    /// first being gathered into a `u64` buffer.
-    pub fn absorb_batch_iter<I: ExactSizeIterator<Item = u64>>(&mut self, reports: I) {
-        if self.config.d > DENSE_SCRATCH_MAX_D || reports.len() == 0 {
+    /// type-erased report buffers (`PipelineReport` slices) reach the
+    /// group-by-value kernel without first being gathered into a `u64`
+    /// buffer.
+    pub fn absorb_batch_iter<I: Iterator<Item = u64>>(&mut self, reports: I) {
+        let mut reports = reports.peekable();
+        if self.config.d > DENSE_SCRATCH_MAX_D || reports.peek().is_none() {
             for r in reports {
                 InpEmAggregator::absorb(self, r);
             }
@@ -212,6 +213,20 @@ impl InpEmAggregator {
         self.n as usize
     }
 
+    /// The leading bytes of this aggregator's serialized state: tag,
+    /// version and `d`, the per-bit keep probability and the EM convergence
+    /// settings. Two states merge only when these agree, so a collector
+    /// compares them before trusting a state it did not build.
+    #[must_use]
+    pub fn state_prefix(&self) -> Writer {
+        let mut w = Writer::with_tag(tag::INP_EM);
+        w.put_u32(self.config.d);
+        w.put_f64(self.config.rr.keep_probability());
+        w.put_f64(self.config.omega);
+        w.put_u64(self.config.max_iters as u64);
+        w
+    }
+
     /// Wrap the report multiplicities for on-demand EM decoding.
     #[must_use]
     pub fn finish(self) -> EmEstimate {
@@ -248,11 +263,7 @@ impl Accumulator for InpEmAggregator {
     }
 
     fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_tag(tag::INP_EM);
-        w.put_u32(self.config.d);
-        w.put_f64(self.config.rr.keep_probability());
-        w.put_f64(self.config.omega);
-        w.put_u64(self.config.max_iters as u64);
+        let mut w = self.state_prefix();
         w.put_u64(self.n);
         w.put_u64(self.counts.len() as u64);
         for (&row, &count) in &self.counts {

@@ -145,6 +145,19 @@ impl InpHtAggregator {
         self.counts.iter().map(|&c| c as usize).sum()
     }
 
+    /// The leading bytes of this aggregator's serialized state: tag,
+    /// version and `d`, `k` and the keep probability. Two states merge only
+    /// when these agree, so a collector compares them before trusting a
+    /// state it did not build.
+    #[must_use]
+    pub fn state_prefix(&self) -> Writer {
+        let mut w = Writer::with_tag(tag::INP_HT);
+        w.put_u32(self.indexer.d());
+        w.put_u32(self.indexer.k());
+        w.put_f64(self.rr.keep_probability());
+        w
+    }
+
     /// Unbias and average each coefficient. Coefficients nobody sampled
     /// (possible only for tiny populations) estimate to 0 — the value of
     /// an uninformative coefficient.
@@ -191,10 +204,7 @@ impl Accumulator for InpHtAggregator {
     }
 
     fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_tag(tag::INP_HT);
-        w.put_u32(self.indexer.d());
-        w.put_u32(self.indexer.k());
-        w.put_f64(self.rr.keep_probability());
+        let mut w = self.state_prefix();
         w.put_i64_slice(&self.sums);
         w.put_u64_slice(&self.counts);
         w.into_bytes()

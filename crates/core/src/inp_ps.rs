@@ -107,6 +107,18 @@ impl InpPsAggregator {
         self.counts.iter().map(|&c| c as usize).sum()
     }
 
+    /// The leading bytes of this aggregator's serialized state: tag,
+    /// version and `d` and the truth probability. Two states merge only
+    /// when these agree, so a collector compares them before trusting a
+    /// state it did not build.
+    #[must_use]
+    pub fn state_prefix(&self) -> Writer {
+        let mut w = Writer::with_tag(tag::INP_PS);
+        w.put_u32(self.d);
+        w.put_f64(self.grr.truth_probability());
+        w
+    }
+
     /// Unbias the histogram into the reconstructed full distribution.
     #[must_use]
     pub fn finish(self) -> FullDistributionEstimate {
@@ -142,9 +154,7 @@ impl Accumulator for InpPsAggregator {
     }
 
     fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_tag(tag::INP_PS);
-        w.put_u32(self.d);
-        w.put_f64(self.grr.truth_probability());
+        let mut w = self.state_prefix();
         w.put_u64_slice(&self.counts);
         w.into_bytes()
     }

@@ -277,6 +277,25 @@ impl InpRrAggregator {
         self.n
     }
 
+    /// Number of attributes `d` (the table has `2^d` cells).
+    #[must_use]
+    pub fn d(&self) -> u32 {
+        self.d
+    }
+
+    /// The leading bytes of this aggregator's serialized state: tag,
+    /// version and `d` and the two unary-encoding probabilities. Two states
+    /// merge only when these agree, so a collector compares them before
+    /// trusting a state it did not build.
+    #[must_use]
+    pub fn state_prefix(&self) -> Writer {
+        let mut w = Writer::with_tag(tag::INP_RR);
+        w.put_u32(self.d);
+        w.put_f64(self.ue.p1());
+        w.put_f64(self.ue.p0());
+        w
+    }
+
     /// Unbias every cell and produce the reconstructed full distribution.
     #[must_use]
     pub fn finish(self) -> FullDistributionEstimate {
@@ -316,10 +335,7 @@ impl Accumulator for InpRrAggregator {
     }
 
     fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_tag(tag::INP_RR);
-        w.put_u32(self.d);
-        w.put_f64(self.ue.p1());
-        w.put_f64(self.ue.p0());
+        let mut w = self.state_prefix();
         w.put_u64(self.n as u64);
         w.put_u64_slice(&self.ones);
         w.into_bytes()
@@ -483,7 +499,11 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(u64::from(d));
             let report = mech.encode(u64::from(d) % (1 << d), &mut rng);
             assert_eq!(report.len(), words);
-            let serial = crate::MechanismReport::InpRr(report).to_bytes();
+            let mut serial = Writer::default();
+            crate::put_inp_rr_bits(&mut serial, report.len(), |w| {
+                report.iter().for_each(|&word| w.put_u64(word));
+            });
+            let serial = serial.into_bytes();
             assert_eq!(serial.len(), 6 + 8 * words, "d={d}");
 
             let mut w = Writer::default();

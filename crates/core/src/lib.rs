@@ -33,9 +33,9 @@
 //! [`Mechanism::run`] for the full simulate-a-population pipeline (used by
 //! the bench harness). For incremental ingest — reports arriving over the
 //! network, partial aggregates crossing process boundaries — use the
-//! streaming pair [`Mechanism::encode`] / [`Mechanism::accumulator`]
-//! (see [`MechanismAccumulator`]), or the per-mechanism types directly
-//! for the statically-typed client/server split.
+//! per-mechanism types directly (`encode` on the mechanism, `absorb` on
+//! its aggregator), or `ldp_oracles::pipeline`, the one type-erased
+//! report/accumulator layer over every mechanism and frequency oracle.
 
 mod accumulator;
 mod bitslice;
@@ -53,11 +53,11 @@ mod marg_ps;
 mod marg_rr;
 mod personalized;
 mod runner;
-mod streaming;
 pub mod wire;
 
 pub use accumulator::Accumulator;
 pub use categorical::{CatMargPs, CatMargPsAggregator, CatMargPsReport, CatMarginalSetEstimate};
+pub use encode::put_inp_rr_bits;
 pub use estimate::{
     clamp_normalize, exact_hadamard_estimate, mean_kway_tvd, Estimate, FullDistributionEstimate,
     HadamardEstimate, MarginalEstimator, MarginalSetEstimate,
@@ -71,7 +71,6 @@ pub use marg_ps::{MargPs, MargPsAggregator, MargPsReport};
 pub use marg_rr::{MargRr, MargRrAggregator, MargRrReport};
 pub use personalized::{PersonalizedAggregator, PersonalizedInpHt, PersonalizedReport};
 pub use runner::{ingest, ingest_sharded, run_population, run_population_sharded, user_rng};
-pub use streaming::{MechanismAccumulator, MechanismReport};
 
 use ldp_mechanisms::theory::MethodBound;
 
@@ -247,9 +246,9 @@ impl Mechanism {
     /// Run the full collect-and-aggregate pipeline over a population of
     /// records (one per user), using `seed` for all client randomness.
     ///
-    /// This is a thin driver over the streaming path: per-user
-    /// [`Mechanism::encode`] reports are absorbed into the mechanism's
-    /// [`MechanismAccumulator`], sharded across the available cores and
+    /// This is a thin driver over the streaming path: each user's
+    /// report from the mechanism's own `encode` is absorbed into its
+    /// aggregator, sharded across the available cores and
     /// [`Accumulator::merge`]d. Because the seed schedule is per-user
     /// (see [`user_rng`]) and accumulators obey the partition-invariance
     /// law of [`Accumulator`], the result is bit-identical to
@@ -259,8 +258,8 @@ impl Mechanism {
     /// `InpRr` is the one exception: its faithful client path costs
     /// `O(2^d)` per user, so `run` substitutes the
     /// exact-in-distribution aggregate simulation
-    /// ([`InpRr::run_fast`]); use [`Mechanism::accumulator`] directly
-    /// for faithful `InpRr` streaming.
+    /// ([`InpRr::run_fast`]); use [`InpRr::encode`] and
+    /// [`InpRr::aggregator`] directly for faithful `InpRr` streaming.
     ///
     /// ```
     /// use ldp_core::{MarginalEstimator, MechanismKind};
@@ -292,19 +291,33 @@ impl Mechanism {
     /// Bit-identical to [`Mechanism::run`] for every `shards` value.
     #[must_use]
     pub fn run_sharded(&self, rows: &[u64], seed: u64, shards: usize) -> Estimate {
-        // The InpRR aggregate simulation draws one multinomial per input
-        // cell rather than one report per user, so it is already O(2^d)
-        // not O(n); sharding does not apply.
-        if let Mechanism::InpRr(m) = self {
-            return Estimate::Full(m.run_fast(rows, seed));
+        // One match on the variant, then `ingest_sharded` over the
+        // concrete aggregator and its typed `encode`.
+        macro_rules! ingest {
+            ($m:expr, $estimate:path) => {
+                $estimate(
+                    ingest_sharded(
+                        rows,
+                        seed,
+                        shards,
+                        || $m.aggregator(),
+                        |row, rng| $m.encode(row, rng),
+                    )
+                    .finalize(),
+                )
+            };
         }
-        ingest_sharded(
-            rows,
-            seed,
-            shards,
-            || self.accumulator(),
-            |row, rng| self.encode(row, rng),
-        )
-        .finalize()
+        match self {
+            // The InpRR aggregate simulation draws one multinomial per
+            // input cell rather than one report per user, so it is
+            // already O(2^d) not O(n); sharding does not apply.
+            Mechanism::InpRr(m) => Estimate::Full(m.run_fast(rows, seed)),
+            Mechanism::InpPs(m) => ingest!(m, Estimate::Full),
+            Mechanism::InpHt(m) => ingest!(m, Estimate::Hadamard),
+            Mechanism::MargRr(m) => ingest!(m, Estimate::MarginalSet),
+            Mechanism::MargPs(m) => ingest!(m, Estimate::MarginalSet),
+            Mechanism::MargHt(m) => ingest!(m, Estimate::MarginalSet),
+            Mechanism::InpEm(m) => ingest!(m, Estimate::Em),
+        }
     }
 }

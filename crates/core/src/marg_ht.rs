@@ -170,6 +170,19 @@ impl MargHtAggregator {
         self.counts.iter().map(|&c| c as usize).sum()
     }
 
+    /// The leading bytes of this aggregator's serialized state: tag,
+    /// version and `d`, `k` and the keep probability. Two states merge only
+    /// when these agree, so a collector compares them before trusting a
+    /// state it did not build.
+    #[must_use]
+    pub fn state_prefix(&self) -> Writer {
+        let mut w = Writer::with_tag(tag::MARG_HT);
+        w.put_u32(self.d);
+        w.put_u32(self.k);
+        w.put_f64(self.rr.keep_probability());
+        w
+    }
+
     /// Per marginal: unbias each coefficient, pin `c_0 = 1`, and invert
     /// the local Hadamard transform into a table.
     #[must_use]
@@ -224,10 +237,7 @@ impl Accumulator for MargHtAggregator {
     }
 
     fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_tag(tag::MARG_HT);
-        w.put_u32(self.d);
-        w.put_u32(self.k);
-        w.put_f64(self.rr.keep_probability());
+        let mut w = self.state_prefix();
         w.put_i64_slice(&self.sums);
         w.put_u64_slice(&self.counts);
         w.into_bytes()

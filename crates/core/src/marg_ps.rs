@@ -152,6 +152,19 @@ impl MargPsAggregator {
         self.counts.iter().map(|&c| c as usize).sum()
     }
 
+    /// The leading bytes of this aggregator's serialized state: tag,
+    /// version and `d`, `k` and the truth probability. Two states merge
+    /// only when these agree, so a collector compares them before trusting
+    /// a state it did not build.
+    #[must_use]
+    pub fn state_prefix(&self) -> Writer {
+        let mut w = Writer::with_tag(tag::MARG_PS);
+        w.put_u32(self.d);
+        w.put_u32(self.k);
+        w.put_f64(self.grr.truth_probability());
+        w
+    }
+
     /// Unbias each marginal's histogram. Marginals nobody sampled fall
     /// back to the uniform table.
     #[must_use]
@@ -201,10 +214,7 @@ impl Accumulator for MargPsAggregator {
     }
 
     fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_tag(tag::MARG_PS);
-        w.put_u32(self.d);
-        w.put_u32(self.k);
-        w.put_f64(self.grr.truth_probability());
+        let mut w = self.state_prefix();
         w.put_u64_slice(&self.counts);
         w.into_bytes()
     }

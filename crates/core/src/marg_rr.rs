@@ -212,6 +212,20 @@ impl MargRrAggregator {
         self.users.iter().map(|&c| c as usize).sum()
     }
 
+    /// The leading bytes of this aggregator's serialized state: tag,
+    /// version and `d`, `k` and the two unary-encoding probabilities. Two
+    /// states merge only when these agree, so a collector compares them
+    /// before trusting a state it did not build.
+    #[must_use]
+    pub fn state_prefix(&self) -> Writer {
+        let mut w = Writer::with_tag(tag::MARG_RR);
+        w.put_u32(self.d);
+        w.put_u32(self.k);
+        w.put_f64(self.ue.p1());
+        w.put_f64(self.ue.p0());
+        w
+    }
+
     /// Unbias every marginal table. Marginals nobody sampled fall back to
     /// the uniform table.
     #[must_use]
@@ -262,11 +276,7 @@ impl Accumulator for MargRrAggregator {
     }
 
     fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_tag(tag::MARG_RR);
-        w.put_u32(self.d);
-        w.put_u32(self.k);
-        w.put_f64(self.ue.p1());
-        w.put_f64(self.ue.p0());
+        let mut w = self.state_prefix();
         w.put_u64_slice(&self.users);
         w.put_u64_slice(&self.ones);
         w.into_bytes()

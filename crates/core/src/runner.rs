@@ -40,9 +40,9 @@ pub fn user_rng(seed: u64, user: u64) -> SmallRng {
 /// [`Accumulator`] — the reference semantics for [`ingest_sharded`].
 ///
 /// * `make_acc` — construct the empty accumulator (e.g.
-///   [`crate::Mechanism::accumulator`]);
+///   [`crate::InpHt::aggregator`]);
 /// * `encode` — produce user `u`'s report from their record and private
-///   RNG (e.g. [`crate::Mechanism::encode`]).
+///   RNG (e.g. [`crate::InpHt::encode`]).
 pub fn ingest<A, F, E>(rows: &[u64], seed: u64, make_acc: F, encode: E) -> A
 where
     A: Accumulator,

@@ -38,31 +38,31 @@ pub mod tag {
     /// `ldp_oracles::OlhAggregator`.
     pub const OLH: u8 = 0x13;
 
-    /// [`crate::MechanismReport::InpRrList`] report frame: the legacy
-    /// (v1–v3) InpRR form, a `u32` index list of the 1-bits. Still
-    /// decoded; no longer written by the encoders.
+    /// `ldp_oracles::pipeline::PipelineReport::InpRrList` report frame:
+    /// the legacy (v1–v3) InpRR form, a `u32` index list of the 1-bits.
+    /// Still decoded; no longer written by the encoders.
     pub const REPORT_INP_RR: u8 = 0x21;
-    /// [`crate::MechanismReport::InpPs`] report frame.
+    /// `PipelineReport::InpPs` report frame.
     pub const REPORT_INP_PS: u8 = 0x22;
-    /// [`crate::MechanismReport::InpHt`] report frame.
+    /// `PipelineReport::InpHt` report frame.
     pub const REPORT_INP_HT: u8 = 0x23;
-    /// [`crate::MechanismReport::MargRr`] report frame.
+    /// `PipelineReport::MargRr` report frame.
     pub const REPORT_MARG_RR: u8 = 0x24;
-    /// [`crate::MechanismReport::MargPs`] report frame.
+    /// `PipelineReport::MargPs` report frame.
     pub const REPORT_MARG_PS: u8 = 0x25;
-    /// [`crate::MechanismReport::MargHt`] report frame.
+    /// `PipelineReport::MargHt` report frame.
     pub const REPORT_MARG_HT: u8 = 0x26;
-    /// [`crate::MechanismReport::InpEm`] report frame.
+    /// `PipelineReport::InpEm` report frame.
     pub const REPORT_INP_EM: u8 = 0x27;
-    /// [`crate::MechanismReport::InpRr`] report frame (wire v4): the
-    /// perturbed 2^d-bit vector itself, as a `u32` word count and that
+    /// `PipelineReport::InpRr` report frame (wire v4): the perturbed
+    /// 2^d-bit vector itself, as a `u32` word count and that
     /// many `u64` words (cell 0 is the LSB of word 0).
     pub const REPORT_INP_RR_BITS: u8 = 0x28;
-    /// `ldp_oracles::OracleReport::Hcms` report frame.
+    /// `PipelineReport::Hcms` report frame.
     pub const REPORT_HCMS: u8 = 0x31;
-    /// `ldp_oracles::OracleReport::Cms` report frame.
+    /// `PipelineReport::Cms` report frame.
     pub const REPORT_CMS: u8 = 0x32;
-    /// `ldp_oracles::OracleReport::Olh` report frame.
+    /// `PipelineReport::Olh` report frame.
     pub const REPORT_OLH: u8 = 0x33;
 
     /// [`crate::frame::StreamHeader`] — frame 0 of report streams and
@@ -354,6 +354,8 @@ pub struct Reader<'a> {
     pos: usize,
 }
 
+// The small readers are `#[inline]` because the report decoders that
+// call them per report live in another crate (`ldp_oracles::pipeline`).
 impl<'a> Reader<'a> {
     /// Open a blob, checking its type tag and version.
     pub fn with_tag(bytes: &'a [u8], expected: u8) -> Result<Self, WireError> {
@@ -367,6 +369,7 @@ impl<'a> Reader<'a> {
     /// [`tag::REPORT_BATCH`] payload). Pair with [`Reader::expect_tag`]
     /// per blob and one [`Reader::finish`] at the end.
     #[must_use]
+    #[inline]
     pub fn new(bytes: &'a [u8]) -> Self {
         Reader { bytes, pos: 0 }
     }
@@ -374,6 +377,7 @@ impl<'a> Reader<'a> {
     /// Consume a tag + version prelude at the cursor, checking the tag
     /// and that the version is one this build decodes
     /// ([`MIN_VERSION`]`..=`[`VERSION`]).
+    #[inline]
     pub fn expect_tag(&mut self, expected: u8) -> Result<(), WireError> {
         let found = self.get_u8().ok();
         if found != Some(expected) {
@@ -394,16 +398,19 @@ impl<'a> Reader<'a> {
     /// Peek the byte at the cursor (the next blob's tag in a
     /// concatenated batch payload) without consuming it.
     #[must_use]
+    #[inline]
     pub fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
     /// Bytes not yet consumed.
     #[must_use]
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         // `get` (not direct slicing) keeps a corrupt length from ever
         // panicking the decoder: an out-of-range request is `Truncated`.
@@ -417,6 +424,7 @@ impl<'a> Reader<'a> {
     /// remaining — comparing in `u64`, so a prefix above `usize::MAX`
     /// can never truncate into a plausible small length on 32-bit
     /// targets — then narrow it for use as an element count.
+    #[inline]
     fn checked_len(&self, len: u64, elem_bytes: u64) -> Result<usize, WireError> {
         let remaining = (self.bytes.len() - self.pos) as u64;
         let needed = len.checked_mul(elem_bytes).ok_or(WireError::Truncated)?;
@@ -427,35 +435,41 @@ impl<'a> Reader<'a> {
     }
 
     /// Read one byte.
+    #[inline]
     pub fn get_u8(&mut self) -> Result<u8, WireError> {
         self.take(1)?.first().copied().ok_or(WireError::Truncated)
     }
 
     /// Read a little-endian `u16`.
+    #[inline]
     pub fn get_u16(&mut self) -> Result<u16, WireError> {
         let bytes = self.take(2)?.try_into().map_err(|_| WireError::Truncated)?;
         Ok(u16::from_le_bytes(bytes))
     }
 
     /// Read a little-endian `u32`.
+    #[inline]
     pub fn get_u32(&mut self) -> Result<u32, WireError> {
         let bytes = self.take(4)?.try_into().map_err(|_| WireError::Truncated)?;
         Ok(u32::from_le_bytes(bytes))
     }
 
     /// Read a little-endian `u64`.
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64, WireError> {
         let bytes = self.take(8)?.try_into().map_err(|_| WireError::Truncated)?;
         Ok(u64::from_le_bytes(bytes))
     }
 
     /// Read a little-endian `i64`.
+    #[inline]
     pub fn get_i64(&mut self) -> Result<i64, WireError> {
         let bytes = self.take(8)?.try_into().map_err(|_| WireError::Truncated)?;
         Ok(i64::from_le_bytes(bytes))
     }
 
     /// Read an `f64` bit pattern.
+    #[inline]
     pub fn get_f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.get_u64()?))
     }
@@ -486,11 +500,14 @@ impl<'a> Reader<'a> {
     /// Like [`Reader::get_u16_vec`], but decode into a caller-owned
     /// buffer (cleared first), reusing its capacity — the
     /// zero-allocation form the batched ingest scratch uses.
+    #[inline]
     pub fn get_u16_vec_into(&mut self, out: &mut Vec<u16>) -> Result<(), WireError> {
         let prefix = self.get_u32()?;
         let len = self.checked_len(u64::from(prefix), 2)?;
         out.clear();
-        out.reserve(len);
+        // Exact, not amortized: a doubling reserve could hold up to
+        // twice the bytes the input carries.
+        out.reserve_exact(len);
         for _ in 0..len {
             out.push(self.get_u16()?);
         }
@@ -507,11 +524,12 @@ impl<'a> Reader<'a> {
 
     /// Like [`Reader::get_u32_vec`], but decode into a caller-owned
     /// buffer (cleared first), reusing its capacity.
+    #[inline]
     pub fn get_u32_vec_into(&mut self, out: &mut Vec<u32>) -> Result<(), WireError> {
         let prefix = self.get_u32()?;
         let len = self.checked_len(u64::from(prefix), 4)?;
         out.clear();
-        out.reserve(len);
+        out.reserve_exact(len);
         for _ in 0..len {
             out.push(self.get_u32()?);
         }
@@ -523,6 +541,7 @@ impl<'a> Reader<'a> {
     /// capacity. The count is checked against the bytes remaining
     /// before anything is reserved, so the allocation is bounded by the
     /// input.
+    #[inline]
     pub fn get_u64_words_into(&mut self, out: &mut Vec<u64>) -> Result<(), WireError> {
         let prefix = self.get_u32()?;
         let words = self.checked_len(u64::from(prefix), 8)?;
@@ -570,6 +589,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Assert the whole blob was consumed.
+    #[inline]
     pub fn finish(self) -> Result<(), WireError> {
         let left = self.bytes.len() - self.pos;
         if left == 0 {

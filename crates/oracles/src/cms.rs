@@ -180,6 +180,24 @@ impl CmsAggregator {
         self.users.iter().map(|&u| u as usize).sum()
     }
 
+    /// The leading bytes of this aggregator's serialized state: tag,
+    /// version and `d`, the sketch shape, the unary-encoding probabilities
+    /// and the hash family. Two states merge only when these agree, so a
+    /// collector compares them before trusting a state it did not build.
+    #[must_use]
+    pub fn state_prefix(&self) -> Writer {
+        let mut w = Writer::with_tag(tag::CMS);
+        w.put_u32(self.config.d);
+        w.put_u64(self.config.g as u64);
+        w.put_u64(self.config.w as u64);
+        w.put_f64(self.config.ue.p1());
+        w.put_f64(self.config.ue.p0());
+        for hash in &self.config.hashes {
+            w.put_u64_slice(hash.coefficients());
+        }
+        w
+    }
+
     /// Unbias rows into bucket distributions.
     #[must_use]
     pub fn finish(self) -> CmsOracle {
@@ -230,15 +248,7 @@ impl Accumulator for CmsAggregator {
     }
 
     fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_tag(tag::CMS);
-        w.put_u32(self.config.d);
-        w.put_u64(self.config.g as u64);
-        w.put_u64(self.config.w as u64);
-        w.put_f64(self.config.ue.p1());
-        w.put_f64(self.config.ue.p0());
-        for hash in &self.config.hashes {
-            w.put_u64_slice(hash.coefficients());
-        }
+        let mut w = self.state_prefix();
         w.put_u64_slice(&self.users);
         for row in &self.ones {
             w.put_u64_slice(row);

@@ -5,8 +5,8 @@
 //! Mirrors `ldp_core::Mechanism::encode_batch`: each report is encoded
 //! under its own `user_rng(seed, user)` stream and written straight
 //! into a reusable [`Writer`] as one [`tag::REPORT_BATCH`] frame
-//! payload, byte-identical to serializing the serial `encode` loop's
-//! reports (`tests/encode_kernels.rs`).
+//! payload, byte-identical to serializing the serial `Client::encode`
+//! loop's reports (`tests/encode_kernels.rs`).
 //!
 //! This file is covered by the `ldp-lint` hot-path panic scan: no
 //! indexing, no unwraps, no lossy counts.
@@ -18,8 +18,8 @@ use ldp_core::wire::{tag, Writer};
 
 impl Oracle {
     /// Serialize one user's report for `row` directly into `w`,
-    /// byte-identical to `self.encode(row, rng).to_bytes()` appended at
-    /// the writer's current position.
+    /// byte-identical to the typed report's `PipelineReport::to_bytes`
+    /// appended at the writer's current position.
     pub fn encode_report_into<R: rand::Rng + ?Sized>(&self, row: u64, rng: &mut R, w: &mut Writer) {
         match self {
             Oracle::Olh(o) => {

@@ -162,6 +162,23 @@ impl HadamardCmsAggregator {
             .sum()
     }
 
+    /// The leading bytes of this aggregator's serialized state: tag,
+    /// version and `d`, the sketch shape, the keep probability and the hash
+    /// family. Two states merge only when these agree, so a collector
+    /// compares them before trusting a state it did not build.
+    #[must_use]
+    pub fn state_prefix(&self) -> Writer {
+        let mut w = Writer::with_tag(tag::HCMS);
+        w.put_u32(self.config.d);
+        w.put_u64(self.config.g as u64);
+        w.put_u64(self.config.w as u64);
+        w.put_f64(self.config.rr.keep_probability());
+        for hash in &self.config.hashes {
+            w.put_u64_slice(hash.coefficients());
+        }
+        w
+    }
+
     /// Invert each row's transform into a bucket distribution.
     #[must_use]
     pub fn finish(self) -> HadamardCmsOracle {
@@ -219,14 +236,7 @@ impl Accumulator for HadamardCmsAggregator {
     }
 
     fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_tag(tag::HCMS);
-        w.put_u32(self.config.d);
-        w.put_u64(self.config.g as u64);
-        w.put_u64(self.config.w as u64);
-        w.put_f64(self.config.rr.keep_probability());
-        for hash in &self.config.hashes {
-            w.put_u64_slice(hash.coefficients());
-        }
+        let mut w = self.state_prefix();
         for row in &self.sums {
             w.put_i64_slice(row);
         }

@@ -43,7 +43,4 @@ pub use cms::{Cms, CmsAggregator, CmsOracle, CmsReport};
 pub use hcms::{HadamardCms, HadamardCmsAggregator, HadamardCmsOracle, HcmsReport};
 pub use olh::{Olh, OlhAggregator, OlhDecode, OlhOracle, OlhReport};
 pub use oracle::{oracle_full_distribution, oracle_marginal, FrequencyOracle};
-pub use streaming::{
-    build_oracle, oracle_header, Oracle, OracleAccumulator, OracleEstimate, OracleKind,
-    OracleReport,
-};
+pub use streaming::{build_oracle, oracle_header, Oracle, OracleEstimate, OracleKind};

@@ -138,6 +138,19 @@ impl OlhAggregator {
         self.reports.len()
     }
 
+    /// The leading bytes of this aggregator's serialized state: tag,
+    /// version and `d`, the bucket count and the truth probability. Two
+    /// states merge only when these agree, so a collector compares them
+    /// before trusting a state it did not build.
+    #[must_use]
+    pub fn state_prefix(&self) -> Writer {
+        let mut w = Writer::with_tag(tag::OLH);
+        w.put_u32(self.config.d);
+        w.put_u64(self.config.g);
+        w.put_f64(self.config.grr.truth_probability());
+        w
+    }
+
     /// Precompute per-user hash objects and expose oracle queries.
     #[must_use]
     pub fn finish(self) -> OlhOracle {
@@ -185,10 +198,7 @@ impl Accumulator for OlhAggregator {
     fn to_bytes(&self) -> Vec<u8> {
         let mut reports = self.reports.clone();
         reports.sort_unstable_by_key(|r| (r.seed, r.bucket));
-        let mut w = Writer::with_tag(tag::OLH);
-        w.put_u32(self.config.d);
-        w.put_u64(self.config.g);
-        w.put_f64(self.config.grr.truth_probability());
+        let mut w = self.state_prefix();
         w.put_u64(reports.len() as u64);
         for r in &reports {
             w.put_u64(r.seed);

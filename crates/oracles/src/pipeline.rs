@@ -1,21 +1,29 @@
 //! Protocol plumbing shared by every process that speaks the framed
 //! pipeline — the `ldp-cli` subcommands, the `ldp_server` aggregation
-//! server, and the bench harness: one client type and one accumulator
-//! type spanning the seven marginal mechanisms *and* the three
-//! frequency oracles, keyed by the [`StreamHeader`] that travels as
-//! frame 0 of every stream and snapshot.
+//! server, and the bench harness — and the one type-erased layer over
+//! the seven marginal mechanisms *and* the three frequency oracles:
+//! [`PipelineReport`] has one variant per report wire tag and
+//! [`PipelineAccumulator`] one per protocol, each holding the typed
+//! report or aggregator directly, keyed by the [`StreamHeader`] that
+//! travels as frame 0 of every stream and snapshot. Every report
+//! decoder lives here.
 //!
 //! This crate hosts the module because it is the lowest layer that can
 //! see both protocol families (`ldp_oracles` depends on `ldp_core`).
+//!
+//! This file is covered by the `ldp-lint` hot-path panic scan: no
+//! indexing, no unwraps, no lossy counts.
 
-use crate::streaming::{
-    build_oracle, Oracle, OracleAccumulator, OracleEstimate, OracleKind, OracleReport,
+use crate::streaming::{build_oracle, Oracle, OracleEstimate, OracleKind};
+use crate::{
+    CmsAggregator, CmsReport, HadamardCmsAggregator, HcmsReport, OlhAggregator, OlhReport,
 };
 use ldp_core::frame::StreamHeader;
-use ldp_core::wire::{tag, Reader, Writer};
+use ldp_core::wire::{tag, Reader, WireError, Writer};
 use ldp_core::{
-    Accumulator, Estimate, InpRrAggregator, Mechanism, MechanismAccumulator, MechanismKind,
-    MechanismReport,
+    put_inp_rr_bits, Accumulator, Estimate, InpEmAggregator, InpHtAggregator, InpHtReport,
+    InpPsAggregator, InpRrAggregator, InpRrReportRef, MargHtAggregator, MargHtReport,
+    MargPsAggregator, MargPsReport, MargRrAggregator, MargRrReport, Mechanism, MechanismKind,
 };
 use rand::Rng;
 
@@ -68,11 +76,22 @@ impl Protocol {
     /// The protocol a header names, if its tag is known.
     #[must_use]
     pub fn from_header(header: &StreamHeader) -> Option<Protocol> {
-        if let Some(kind) = header.mechanism_kind() {
-            return Some(Protocol::Mechanism(kind));
-        }
-        OracleKind::from_wire_tag(header.protocol).map(Protocol::Oracle)
+        Protocol::from_wire_tag(header.protocol)
     }
+
+    /// The protocol an accumulator type tag (`StreamHeader::protocol`)
+    /// names, if it is known.
+    #[must_use]
+    pub fn from_wire_tag(t: u8) -> Option<Protocol> {
+        MechanismKind::from_wire_tag(t)
+            .map(Protocol::Mechanism)
+            .or_else(|| OracleKind::from_wire_tag(t).map(Protocol::Oracle))
+    }
+}
+
+/// Display name of the protocol an accumulator type tag names.
+fn protocol_name(t: u8) -> &'static str {
+    Protocol::from_wire_tag(t).map_or("unknown", Protocol::name)
 }
 
 /// The sketch shape flags (`--hashes`, `--width`, `--family-seed`) an
@@ -210,8 +229,16 @@ impl Client {
     /// Encode one user's record into a typed report.
     pub fn encode<R: Rng + ?Sized>(&self, row: u64, rng: &mut R) -> PipelineReport {
         match self {
-            Client::Mechanism(m) => PipelineReport::Mechanism(m.encode(row, rng)),
-            Client::Oracle(o) => PipelineReport::Oracle(o.encode(row, rng)),
+            Client::Mechanism(Mechanism::InpRr(m)) => PipelineReport::InpRr(m.encode(row, rng)),
+            Client::Mechanism(Mechanism::InpPs(m)) => PipelineReport::InpPs(m.encode(row, rng)),
+            Client::Mechanism(Mechanism::InpHt(m)) => PipelineReport::InpHt(m.encode(row, rng)),
+            Client::Mechanism(Mechanism::MargRr(m)) => PipelineReport::MargRr(m.encode(row, rng)),
+            Client::Mechanism(Mechanism::MargPs(m)) => PipelineReport::MargPs(m.encode(row, rng)),
+            Client::Mechanism(Mechanism::MargHt(m)) => PipelineReport::MargHt(m.encode(row, rng)),
+            Client::Mechanism(Mechanism::InpEm(m)) => PipelineReport::InpEm(m.encode(row, rng)),
+            Client::Oracle(Oracle::Olh(o)) => PipelineReport::Olh(o.encode(row, rng)),
+            Client::Oracle(Oracle::Cms(o)) => PipelineReport::Cms(o.encode(row, rng)),
+            Client::Oracle(Oracle::Hcms(o)) => PipelineReport::Hcms(o.encode(row, rng)),
         }
     }
 
@@ -221,24 +248,197 @@ impl Client {
     }
 }
 
-/// One user's report, for either protocol family — what a report frame
-/// payload decodes into.
-#[derive(Clone, Debug, PartialEq)]
+/// One user's report, for any of the ten protocols — what a report
+/// frame payload decodes into. One variant per report wire tag (see
+/// `ldp_core::wire::tag`), each holding the typed report directly.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PipelineReport {
-    /// A marginal-mechanism report (frame tags `0x21`–`0x28`).
-    Mechanism(MechanismReport),
-    /// A frequency-oracle report (frame tags `0x31`–`0x33`).
-    Oracle(OracleReport),
+    /// InpRR's perturbed one-hot vector as a bitset, 64 cells per word
+    /// (tag `0x28`; see [`ldp_core::InpRr::encode`]).
+    InpRr(Vec<u64>),
+    /// A legacy (wire v1–v3) InpRR report: the 1-positions of the
+    /// perturbed vector (tag `0x21`). Still decoded so old streams
+    /// ingest; never produced by the encoders.
+    InpRrList(Vec<u32>),
+    /// Perturbed input index (tag `0x22`; see [`ldp_core::InpPs::encode`]).
+    InpPs(u64),
+    /// Sampled Hadamard coefficient and sign (tag `0x23`).
+    InpHt(InpHtReport),
+    /// Sampled marginal and its perturbed table (tag `0x24`).
+    MargRr(MargRrReport),
+    /// Sampled marginal and its perturbed cell (tag `0x25`).
+    MargPs(MargPsReport),
+    /// Sampled marginal and a coefficient sign (tag `0x26`).
+    MargHt(MargHtReport),
+    /// Budget-split perturbed row (tag `0x27`).
+    InpEm(u64),
+    /// Hadamard count-mean-sketch row, coefficient and sign (tag `0x31`).
+    Hcms(HcmsReport),
+    /// Count-mean-sketch row and its perturbed bucket set (tag `0x32`).
+    Cms(CmsReport),
+    /// OLH hash seed and perturbed bucket (tag `0x33`).
+    Olh(OlhReport),
+}
+
+/// Decode a 0/1 byte back into a sign flag.
+fn get_sign(r: &mut Reader<'_>) -> Result<bool, WireError> {
+    match r.get_u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(WireError::Invalid("report sign flag")),
+    }
+}
+
+fn report_error(e: WireError) -> String {
+    format!("bad report frame: {e}")
 }
 
 impl PipelineReport {
-    /// Serialize into a report frame payload.
+    /// Serialize into a report frame payload (tags `REPORT_*` of
+    /// `ldp_core::wire::tag`). This is what one user transmits, so the
+    /// encodings stay as close to the Table 2 communication costs as
+    /// byte alignment allows.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
+        let mut w = Writer::default();
         match self {
-            PipelineReport::Mechanism(r) => r.to_bytes(),
-            PipelineReport::Oracle(r) => r.to_bytes(),
+            PipelineReport::InpRr(words) => put_inp_rr_bits(&mut w, words.len(), |w| {
+                words.iter().for_each(|&word| w.put_u64(word));
+            }),
+            PipelineReport::InpRrList(ones) => {
+                w.put_tag(tag::REPORT_INP_RR);
+                w.put_u32_slice(ones);
+            }
+            PipelineReport::InpPs(cell) => {
+                w.put_tag(tag::REPORT_INP_PS);
+                w.put_u64(*cell);
+            }
+            PipelineReport::InpHt(r) => {
+                w.put_tag(tag::REPORT_INP_HT);
+                w.put_u32(r.coefficient);
+                w.put_u8(u8::from(r.sign_positive));
+            }
+            PipelineReport::MargRr(r) => {
+                w.put_tag(tag::REPORT_MARG_RR);
+                w.put_u32(r.marginal);
+                w.put_u16_slice(&r.ones);
+            }
+            PipelineReport::MargPs(r) => {
+                w.put_tag(tag::REPORT_MARG_PS);
+                w.put_u32(r.marginal);
+                w.put_u16(r.cell);
+            }
+            PipelineReport::MargHt(r) => {
+                w.put_tag(tag::REPORT_MARG_HT);
+                w.put_u32(r.marginal);
+                w.put_u16(r.coefficient);
+                w.put_u8(u8::from(r.sign_positive));
+            }
+            PipelineReport::InpEm(row) => {
+                w.put_tag(tag::REPORT_INP_EM);
+                w.put_u64(*row);
+            }
+            PipelineReport::Hcms(r) => {
+                w.put_tag(tag::REPORT_HCMS);
+                w.put_u8(r.row);
+                w.put_u16(r.coefficient);
+                w.put_u8(u8::from(r.sign_positive));
+            }
+            PipelineReport::Cms(r) => {
+                w.put_tag(tag::REPORT_CMS);
+                w.put_u8(r.row);
+                w.put_u16_slice(&r.ones);
+            }
+            PipelineReport::Olh(r) => {
+                w.put_tag(tag::REPORT_OLH);
+                w.put_u64(r.seed);
+                w.put_u8(r.bucket);
+            }
         }
+        w.into_bytes()
+    }
+
+    /// The one report decoder: read the report whose tag `t` sits at
+    /// the cursor into `self`, leaving the cursor on the byte after it.
+    /// A slot that already holds a report of that kind is overwritten
+    /// in place, keeping its heap capacity: building a whole new report
+    /// and dropping the old one costs more than the decode itself.
+    fn read_into(&mut self, t: u8, r: &mut Reader<'_>) -> Result<(), WireError> {
+        // A fixed-size report, decoded before the slot is touched.
+        macro_rules! put {
+            ($variant:ident($value:expr)) => {{
+                let value = $value;
+                match self {
+                    PipelineReport::$variant(slot) => *slot = value,
+                    slot => *slot = PipelineReport::$variant(value),
+                }
+            }};
+        }
+        // A report with a list, filled into the slot's own buffer once
+        // the slot holds that kind.
+        macro_rules! reuse {
+            ($variant:ident($blank:expr), $slot:ident => $fill:expr) => {{
+                if !matches!(self, PipelineReport::$variant(_)) {
+                    *self = PipelineReport::$variant($blank);
+                }
+                if let PipelineReport::$variant($slot) = self {
+                    $fill;
+                }
+            }};
+        }
+        r.expect_tag(t)?;
+        match t {
+            tag::REPORT_INP_RR_BITS => {
+                reuse!(InpRr(Vec::new()), words => r.get_u64_words_into(words)?);
+            }
+            tag::REPORT_INP_RR => reuse!(InpRrList(Vec::new()), ones => r.get_u32_vec_into(ones)?),
+            tag::REPORT_INP_PS => put!(InpPs(r.get_u64()?)),
+            tag::REPORT_INP_HT => put!(InpHt(InpHtReport {
+                coefficient: r.get_u32()?,
+                sign_positive: get_sign(r)?,
+            })),
+            tag::REPORT_MARG_RR => {
+                let blank = MargRrReport {
+                    marginal: 0,
+                    ones: Vec::new(),
+                };
+                reuse!(MargRr(blank), report => {
+                    report.marginal = r.get_u32()?;
+                    r.get_u16_vec_into(&mut report.ones)?;
+                });
+            }
+            tag::REPORT_MARG_PS => put!(MargPs(MargPsReport {
+                marginal: r.get_u32()?,
+                cell: r.get_u16()?,
+            })),
+            tag::REPORT_MARG_HT => put!(MargHt(MargHtReport {
+                marginal: r.get_u32()?,
+                coefficient: r.get_u16()?,
+                sign_positive: get_sign(r)?,
+            })),
+            tag::REPORT_INP_EM => put!(InpEm(r.get_u64()?)),
+            tag::REPORT_HCMS => put!(Hcms(HcmsReport {
+                row: r.get_u8()?,
+                coefficient: r.get_u16()?,
+                sign_positive: get_sign(r)?,
+            })),
+            tag::REPORT_CMS => {
+                let blank = CmsReport {
+                    row: 0,
+                    ones: Vec::new(),
+                };
+                reuse!(Cms(blank), report => {
+                    report.row = r.get_u8()?;
+                    r.get_u16_vec_into(&mut report.ones)?;
+                });
+            }
+            tag::REPORT_OLH => put!(Olh(OlhReport {
+                seed: r.get_u64()?,
+                bucket: r.get_u8()?,
+            })),
+            _ => return Err(WireError::Invalid("unknown report tag")),
+        }
+        Ok(())
     }
 
     /// Decode one report starting at the cursor of `r` (self-describing
@@ -247,16 +447,9 @@ impl PipelineReport {
     /// trailing-bytes check; callers that decode a standalone payload
     /// should use [`PipelineReport::from_bytes`] instead.
     pub fn decode_next(r: &mut Reader<'_>) -> Result<Self, String> {
-        match r.peek() {
-            Some(0x21..=0x2F) => MechanismReport::decode_next(r)
-                .map(PipelineReport::Mechanism)
-                .map_err(|e| format!("bad report frame: {e}")),
-            Some(0x31..=0x3F) => OracleReport::decode_next(r)
-                .map(PipelineReport::Oracle)
-                .map_err(|e| format!("bad report frame: {e}")),
-            Some(t) => Err(format!("bad report frame: unknown report tag {t:#04x}")),
-            None => Err("bad report frame: empty payload".to_string()),
-        }
+        let mut report = PipelineReport::InpPs(0);
+        report.decode_next_into(r)?;
+        Ok(report)
     }
 
     /// Decode a report frame payload (self-describing by its leading
@@ -264,50 +457,37 @@ impl PipelineReport {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
         let mut r = Reader::new(bytes);
         let report = Self::decode_next(&mut r)?;
-        r.finish().map_err(|e| format!("bad report frame: {e}"))?;
+        r.finish().map_err(report_error)?;
         Ok(report)
     }
 
     /// Cursor form of [`PipelineReport::decode_into`]: decode the next
     /// report out of `r` into `self`, reusing heap capacity when the
-    /// report family matches. On error the cursor position is
-    /// unspecified and `self` is some valid (but unspecified) report
-    /// that must not be absorbed.
+    /// slot already holds a report of the same kind. On error the
+    /// cursor position is unspecified and `self` is some valid (but
+    /// unspecified) report that must not be absorbed.
     pub fn decode_next_into(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
-        match (r.peek(), &mut *self) {
-            (Some(0x21..=0x2F), PipelineReport::Mechanism(m)) => m
-                .decode_next_into(r)
-                .map_err(|e| format!("bad report frame: {e}")),
-            (Some(0x31..=0x3F), PipelineReport::Oracle(o)) => o
-                .decode_next_into(r)
-                .map_err(|e| format!("bad report frame: {e}")),
-            _ => {
-                *self = PipelineReport::decode_next(r)?;
-                Ok(())
-            }
-        }
+        let t = r.peek().ok_or("bad report frame: empty payload")?;
+        self.read_into(t, r).map_err(report_error)
     }
 
     /// Decode a report frame payload into `self`, reusing any heap
-    /// capacity the current value already owns — the zero-allocation
-    /// decode path of the batched ingest scratch (see
-    /// `MechanismReport::decode_into` and `OracleReport::decode_into`).
+    /// capacity the current value already owns (the InpRR word and
+    /// position buffers, the MargRR and CMS position buffers) — the
+    /// zero-allocation decode path of the batched ingest scratch.
     /// Accepts and rejects exactly what [`PipelineReport::from_bytes`]
     /// does; on error `self` is left as some valid (but unspecified)
     /// report and must not be absorbed.
     pub fn decode_into(&mut self, bytes: &[u8]) -> Result<(), String> {
         let mut r = Reader::new(bytes);
         self.decode_next_into(&mut r)?;
-        r.finish().map_err(|e| format!("bad report frame: {e}"))
+        r.finish().map_err(report_error)
     }
 
     /// Display name of the protocol this report belongs to.
     #[must_use]
     pub fn protocol_name(&self) -> &'static str {
-        match self {
-            PipelineReport::Mechanism(r) => r.kind().name(),
-            PipelineReport::Oracle(r) => r.kind().name(),
-        }
+        protocol_name(self.protocol_tag())
     }
 
     /// The accumulator type tag (`StreamHeader::protocol`) of the
@@ -315,31 +495,60 @@ impl PipelineReport {
     #[must_use]
     pub fn protocol_tag(&self) -> u8 {
         match self {
-            PipelineReport::Mechanism(r) => r.kind().wire_tag(),
-            PipelineReport::Oracle(r) => r.kind().wire_tag(),
+            PipelineReport::InpRr(_) | PipelineReport::InpRrList(_) => tag::INP_RR,
+            PipelineReport::InpPs(_) => tag::INP_PS,
+            PipelineReport::InpHt(_) => tag::INP_HT,
+            PipelineReport::MargRr(_) => tag::MARG_RR,
+            PipelineReport::MargPs(_) => tag::MARG_PS,
+            PipelineReport::MargHt(_) => tag::MARG_HT,
+            PipelineReport::InpEm(_) => tag::INP_EM,
+            PipelineReport::Hcms(_) => tag::HCMS,
+            PipelineReport::Cms(_) => tag::CMS,
+            PipelineReport::Olh(_) => tag::OLH,
+        }
+    }
+
+    /// Borrow an InpRR report in either wire form (`None` for every
+    /// other protocol) — the view the InpRR batch kernel takes.
+    fn inp_rr_ref(&self) -> Option<InpRrReportRef<'_>> {
+        match self {
+            PipelineReport::InpRr(words) => Some(InpRrReportRef::Bits(words)),
+            PipelineReport::InpRrList(positions) => Some(InpRrReportRef::Positions(positions)),
+            _ => None,
         }
     }
 
     /// Check this report against the stream header it arrived under,
-    /// with the rule [`PipelineAccumulator::absorb`] applies: it must
-    /// belong to the header's protocol, and an InpRR bitset must fit
-    /// the header's `2^d` cells. A stream consumer that routes reports
-    /// to accumulators elsewhere (the collector's worker pool) calls
-    /// this first, so a report it accepted is one every accumulator
-    /// built from `header` absorbs.
+    /// with the rule [`PipelineAccumulator::absorb_batch`] applies: it
+    /// must belong to the header's protocol, and an InpRR bitset must
+    /// fit the header's `2^d` cells. A stream consumer that routes reports to
+    /// accumulators elsewhere (the collector's worker pool) calls this
+    /// first, so a report it accepted is one every accumulator built
+    /// from `header` absorbs.
     pub fn check_header(&self, header: &StreamHeader) -> Result<(), String> {
-        if self.protocol_tag() != header.protocol {
-            return Err(format!(
-                "stream mixes protocols: header names tag {:#04x}, report is {}",
-                header.protocol,
-                self.protocol_name()
-            ));
-        }
-        if let PipelineReport::Mechanism(MechanismReport::InpRr(words)) = self {
-            InpRrAggregator::check_bits(header.d, words).map_err(|e| format!("bad report: {e}"))?;
-        }
-        Ok(())
+        admit(header.protocol, header.d, self)
     }
+}
+
+/// The one acceptance rule for a report in a pipeline over `protocol`
+/// and `d` attributes: the report must belong to that protocol, and an
+/// InpRR bitset must fit the `2^d` cells — exactly `⌈2^d/64⌉` words,
+/// no bit past cell `2^d − 1`. Mismatched bitsets are refused rather
+/// than folded, so a corrupt or foreign-`d` report can never miscount
+/// into the state; legacy InpRR position lists keep their
+/// fold-mod-`2^d` rule.
+fn admit(protocol: u8, d: u32, report: &PipelineReport) -> Result<(), String> {
+    if report.protocol_tag() != protocol {
+        return Err(format!(
+            "stream mixes protocols: a {} pipeline got a {} report",
+            protocol_name(protocol),
+            report.protocol_name()
+        ));
+    }
+    if let PipelineReport::InpRr(words) = report {
+        InpRrAggregator::check_bits(d, words).map_err(|e| format!("bad report: {e}"))?;
+    }
+    Ok(())
 }
 
 /// The smallest encodable report blob: tag + version + a 4-byte field
@@ -411,26 +620,73 @@ pub fn decode_report_batch_into(
     Ok(filled)
 }
 
-/// The server half: a type-erased accumulator for either protocol
-/// family.
+/// The server half: one accumulator for any of the ten protocols, each
+/// variant holding the concrete aggregator.
+#[derive(Clone, Debug)]
 pub enum PipelineAccumulator {
-    /// Accumulator for a marginal mechanism.
-    Mechanism(MechanismAccumulator),
-    /// Accumulator for a frequency oracle.
-    Oracle(OracleAccumulator),
+    /// See [`InpRrAggregator`]. Absorbs both InpRR report forms.
+    InpRr(InpRrAggregator),
+    /// See [`InpPsAggregator`].
+    InpPs(InpPsAggregator),
+    /// See [`InpHtAggregator`].
+    InpHt(InpHtAggregator),
+    /// See [`MargRrAggregator`].
+    MargRr(MargRrAggregator),
+    /// See [`MargPsAggregator`].
+    MargPs(MargPsAggregator),
+    /// See [`MargHtAggregator`].
+    MargHt(MargHtAggregator),
+    /// See [`InpEmAggregator`].
+    InpEm(InpEmAggregator),
+    /// See [`HadamardCmsAggregator`].
+    Hcms(HadamardCmsAggregator),
+    /// See [`CmsAggregator`].
+    Cms(CmsAggregator),
+    /// See [`OlhAggregator`].
+    Olh(OlhAggregator),
+}
+
+/// Evaluate `$body` with `$a` bound to the concrete aggregator inside
+/// `$acc`, whichever protocol it serves.
+macro_rules! with_aggregator {
+    ($acc:expr, $a:ident => $body:expr) => {
+        match $acc {
+            PipelineAccumulator::InpRr($a) => $body,
+            PipelineAccumulator::InpPs($a) => $body,
+            PipelineAccumulator::InpHt($a) => $body,
+            PipelineAccumulator::MargRr($a) => $body,
+            PipelineAccumulator::MargPs($a) => $body,
+            PipelineAccumulator::MargHt($a) => $body,
+            PipelineAccumulator::InpEm($a) => $body,
+            PipelineAccumulator::Hcms($a) => $body,
+            PipelineAccumulator::Cms($a) => $body,
+            PipelineAccumulator::Olh($a) => $body,
+        }
+    };
 }
 
 impl PipelineAccumulator {
     /// A fresh, empty accumulator matching a header.
     pub fn empty(header: &StreamHeader) -> Result<Self, String> {
-        match Client::from_header(header)? {
-            Client::Mechanism(m) => Ok(PipelineAccumulator::Mechanism(m.accumulator())),
-            Client::Oracle(o) => Ok(PipelineAccumulator::Oracle(o.accumulator())),
-        }
+        Ok(match Client::from_header(header)? {
+            Client::Mechanism(Mechanism::InpRr(m)) => PipelineAccumulator::InpRr(m.aggregator()),
+            Client::Mechanism(Mechanism::InpPs(m)) => PipelineAccumulator::InpPs(m.aggregator()),
+            Client::Mechanism(Mechanism::InpHt(m)) => PipelineAccumulator::InpHt(m.aggregator()),
+            Client::Mechanism(Mechanism::MargRr(m)) => PipelineAccumulator::MargRr(m.aggregator()),
+            Client::Mechanism(Mechanism::MargPs(m)) => PipelineAccumulator::MargPs(m.aggregator()),
+            Client::Mechanism(Mechanism::MargHt(m)) => PipelineAccumulator::MargHt(m.aggregator()),
+            Client::Mechanism(Mechanism::InpEm(m)) => PipelineAccumulator::InpEm(m.aggregator()),
+            Client::Oracle(Oracle::Hcms(o)) => PipelineAccumulator::Hcms(o.aggregator()),
+            Client::Oracle(Oracle::Cms(o)) => PipelineAccumulator::Cms(o.aggregator()),
+            Client::Oracle(Oracle::Olh(o)) => PipelineAccumulator::Olh(o.aggregator()),
+        })
     }
 
     /// Rehydrate serialized accumulator state, verifying it matches the
-    /// snapshot's header.
+    /// snapshot's header: the state must name the header's protocol and
+    /// record exactly the parameters the header implies (`d`, `k`, the
+    /// probabilities `ε` fixes, the sketch shape and hash family), so a
+    /// foreign state can never merge into a misaligned table.
     pub fn from_state(header: &StreamHeader, state: &[u8]) -> Result<Self, String> {
         if state.first() != Some(&header.protocol) {
             return Err(format!(
@@ -439,44 +695,47 @@ impl PipelineAccumulator {
                 header.protocol
             ));
         }
-        if header.mechanism_kind().is_some() {
-            MechanismAccumulator::from_bytes(state)
-                .map(PipelineAccumulator::Mechanism)
-                .map_err(|e| format!("bad mechanism snapshot state: {e}"))
-        } else if OracleKind::from_wire_tag(header.protocol).is_some() {
-            OracleAccumulator::from_bytes(state)
-                .map(PipelineAccumulator::Oracle)
-                .map_err(|e| format!("bad oracle snapshot state: {e}"))
-        } else {
-            Err(format!(
-                "header names unknown protocol tag {:#04x}",
-                header.protocol
-            ))
+        let expected = Self::empty(header)?;
+        let prefix = expected.state_prefix();
+        // Byte 1 is the version, which may be any this build decodes.
+        if state.get(2..prefix.len()) != prefix.as_bytes().get(2..) {
+            return Err(format!(
+                "snapshot state records other {} parameters than its header \
+                 (d = {}, k = {}, eps = {}, sketch {}×{} seed {})",
+                expected.protocol_name(),
+                header.d,
+                header.k,
+                header.eps,
+                header.hashes,
+                header.width,
+                header.family_seed
+            ));
         }
+        let acc = match expected {
+            PipelineAccumulator::InpRr(_) => Accumulator::from_bytes(state).map(Self::InpRr),
+            PipelineAccumulator::InpPs(_) => Accumulator::from_bytes(state).map(Self::InpPs),
+            PipelineAccumulator::InpHt(_) => Accumulator::from_bytes(state).map(Self::InpHt),
+            PipelineAccumulator::MargRr(_) => Accumulator::from_bytes(state).map(Self::MargRr),
+            PipelineAccumulator::MargPs(_) => Accumulator::from_bytes(state).map(Self::MargPs),
+            PipelineAccumulator::MargHt(_) => Accumulator::from_bytes(state).map(Self::MargHt),
+            PipelineAccumulator::InpEm(_) => Accumulator::from_bytes(state).map(Self::InpEm),
+            PipelineAccumulator::Hcms(_) => Accumulator::from_bytes(state).map(Self::Hcms),
+            PipelineAccumulator::Cms(_) => Accumulator::from_bytes(state).map(Self::Cms),
+            PipelineAccumulator::Olh(_) => Accumulator::from_bytes(state).map(Self::Olh),
+        };
+        acc.map_err(|e| format!("bad snapshot state: {e}"))
     }
 
-    /// Absorb one decoded report. Rejects, by name and absorbing
-    /// nothing, a report of another protocol and an InpRR bitset whose
-    /// word count is not the accumulator's `⌈2^d/64⌉` (or that sets a
-    /// bit past cell `2^d − 1`). Mismatched bitsets are rejected rather
-    /// than folded, so a corrupt or foreign-`d` report can never
-    /// miscount into the state; legacy InpRR position lists keep their
-    /// fold-mod-`2^d` rule.
+    /// The leading state bytes that name the protocol and its
+    /// parameters (see e.g. [`InpHtAggregator::state_prefix`]).
+    fn state_prefix(&self) -> Writer {
+        with_aggregator!(self, a => a.state_prefix())
+    }
+
+    /// Absorb one decoded report: [`PipelineAccumulator::absorb_batch`]
+    /// over a batch of one.
     pub fn absorb(&mut self, report: &PipelineReport) -> Result<(), String> {
-        if !self.accepts(report) {
-            return Err(self.refusal(report));
-        }
-        match (self, report) {
-            (PipelineAccumulator::Mechanism(acc), PipelineReport::Mechanism(report)) => {
-                acc.absorb(report);
-            }
-            (PipelineAccumulator::Oracle(acc), PipelineReport::Oracle(report)) => {
-                acc.absorb(report);
-            }
-            // `accepts` refused every other pairing.
-            _ => {}
-        }
-        Ok(())
+        self.absorb_batch(std::slice::from_ref(report))
     }
 
     /// Absorb one report frame payload.
@@ -484,142 +743,127 @@ impl PipelineAccumulator {
         self.absorb(&PipelineReport::from_bytes(bytes)?)
     }
 
-    /// Whether [`PipelineAccumulator::absorb`] would accept this report.
-    fn accepts(&self, report: &PipelineReport) -> bool {
-        match (self, report) {
-            (
-                PipelineAccumulator::Mechanism(MechanismAccumulator::InpRr(acc)),
-                PipelineReport::Mechanism(MechanismReport::InpRr(words)),
-            ) => acc.check_report(words).is_ok(),
-            (PipelineAccumulator::Mechanism(a), PipelineReport::Mechanism(r)) => {
-                a.kind() == r.kind()
-            }
-            (PipelineAccumulator::Oracle(a), PipelineReport::Oracle(r)) => a.kind() == r.kind(),
-            _ => false,
-        }
-    }
-
-    /// The named error for a report [`PipelineAccumulator::accepts`]
-    /// refused.
-    fn refusal(&self, report: &PipelineReport) -> String {
-        if let (
-            PipelineAccumulator::Mechanism(MechanismAccumulator::InpRr(acc)),
-            PipelineReport::Mechanism(MechanismReport::InpRr(words)),
-        ) = (self, report)
-        {
-            if let Err(e) = acc.check_report(words) {
-                return format!("bad report: {e}");
-            }
-        }
-        format!(
-            "stream mixes protocols: {} accumulator got a {} report",
-            self.protocol_name(),
-            report.protocol_name()
-        )
-    }
-
-    /// Absorb a buffer of decoded reports with the protocol dispatch
-    /// and kind check hoisted out of the hot loop: one validation pass,
-    /// then the type-erased batch kernels (`InpRR` routes through its
-    /// bit-sliced kernel, `InpEM` through its group-by-value kernel).
-    /// Rejects the whole batch — absorbing nothing — if any report
-    /// fails [`PipelineAccumulator::absorb`]'s checks, where the serial
-    /// loop would have absorbed the prefix before the offending report.
+    /// Absorb a buffer of decoded reports: one validation pass with the
+    /// rule [`PipelineReport::check_header`] applies, then one match on
+    /// the protocol and a tight loop into the concrete aggregator
+    /// (`InpRR` through its bit-sliced kernel, `InpEM` through its
+    /// group-by-value kernel). Rejects the whole batch — absorbing
+    /// nothing — if any report is of another protocol or is an InpRR
+    /// bitset that does not fit.
     pub fn absorb_batch(&mut self, reports: &[PipelineReport]) -> Result<(), String> {
-        if let Some(bad) = reports.iter().find(|r| !self.accepts(r)) {
-            return Err(self.refusal(bad));
+        // `d` matters only for InpRR bitsets, which `admit` lets through
+        // only into an InpRR accumulator.
+        let d = match self {
+            PipelineAccumulator::InpRr(a) => a.d(),
+            _ => 0,
+        };
+        let protocol = self.protocol_tag();
+        reports.iter().try_for_each(|r| admit(protocol, d, r))?;
+        macro_rules! each {
+            ($variant:ident, $r:ident => $absorb:expr) => {
+                for report in reports {
+                    if let PipelineReport::$variant($r) = report {
+                        $absorb;
+                    }
+                }
+            };
         }
         match self {
-            PipelineAccumulator::Mechanism(MechanismAccumulator::InpRr(a)) => {
-                a.absorb_batch_by(reports, |r| match r {
-                    PipelineReport::Mechanism(m) => m.inp_rr_ref(),
-                    PipelineReport::Oracle(_) => None,
-                });
-            }
-            PipelineAccumulator::Mechanism(MechanismAccumulator::InpEm(a)) => {
-                a.absorb_batch_iter(reports.iter().map(|r| match r {
-                    PipelineReport::Mechanism(MechanismReport::InpEm(row)) => *row,
-                    _ => unreachable!("batch verified homogeneous"),
+            PipelineAccumulator::InpRr(a) => a.absorb_batch_by(reports, PipelineReport::inp_rr_ref),
+            PipelineAccumulator::InpPs(a) => each!(InpPs, r => a.absorb(*r)),
+            PipelineAccumulator::InpHt(a) => each!(InpHt, r => a.absorb(*r)),
+            PipelineAccumulator::MargRr(a) => each!(MargRr, r => a.absorb(r)),
+            PipelineAccumulator::MargPs(a) => each!(MargPs, r => a.absorb(*r)),
+            PipelineAccumulator::MargHt(a) => each!(MargHt, r => a.absorb(*r)),
+            PipelineAccumulator::InpEm(a) => {
+                a.absorb_batch_iter(reports.iter().filter_map(|r| match r {
+                    PipelineReport::InpEm(row) => Some(*row),
+                    _ => None,
                 }));
             }
-            PipelineAccumulator::Mechanism(acc) => {
-                for report in reports {
-                    if let PipelineReport::Mechanism(r) = report {
-                        Accumulator::absorb(acc, r);
-                    }
-                }
-            }
-            PipelineAccumulator::Oracle(acc) => {
-                for report in reports {
-                    if let PipelineReport::Oracle(r) = report {
-                        Accumulator::absorb(acc, r);
-                    }
-                }
-            }
+            PipelineAccumulator::Hcms(a) => each!(Hcms, r => a.absorb(*r)),
+            PipelineAccumulator::Cms(a) => each!(Cms, r => a.absorb(r)),
+            PipelineAccumulator::Olh(a) => each!(Olh, r => a.absorb(*r)),
         }
         Ok(())
     }
 
-    /// Fold another partial aggregate of the same protocol into this
-    /// one.
+    /// Fold another partial aggregate into this one. Refuses, by name
+    /// and changing nothing, one of another protocol or with other
+    /// recorded parameters.
     pub fn merge(&mut self, other: PipelineAccumulator) -> Result<(), String> {
+        if self.state_prefix().as_bytes() != other.state_prefix().as_bytes() {
+            return Err(format!(
+                "cannot merge a {} snapshot into a {} snapshot with other parameters",
+                other.protocol_name(),
+                self.protocol_name()
+            ));
+        }
         match (self, other) {
-            (PipelineAccumulator::Mechanism(a), PipelineAccumulator::Mechanism(b)) => {
-                if a.kind() != b.kind() {
-                    return Err(format!(
-                        "cannot merge a {} snapshot into a {} snapshot",
-                        b.kind().name(),
-                        a.kind().name()
-                    ));
-                }
-                a.merge(b);
-                Ok(())
-            }
-            (PipelineAccumulator::Oracle(a), PipelineAccumulator::Oracle(b)) => {
-                if a.kind() != b.kind() {
-                    return Err(format!(
-                        "cannot merge a {} snapshot into a {} snapshot",
-                        b.kind().name(),
-                        a.kind().name()
-                    ));
-                }
-                a.merge(b);
-                Ok(())
-            }
-            _ => Err("cannot merge a mechanism snapshot with an oracle snapshot".to_string()),
+            (PipelineAccumulator::InpRr(a), PipelineAccumulator::InpRr(b)) => a.merge(b),
+            (PipelineAccumulator::InpPs(a), PipelineAccumulator::InpPs(b)) => a.merge(b),
+            (PipelineAccumulator::InpHt(a), PipelineAccumulator::InpHt(b)) => a.merge(b),
+            (PipelineAccumulator::MargRr(a), PipelineAccumulator::MargRr(b)) => a.merge(b),
+            (PipelineAccumulator::MargPs(a), PipelineAccumulator::MargPs(b)) => a.merge(b),
+            (PipelineAccumulator::MargHt(a), PipelineAccumulator::MargHt(b)) => a.merge(b),
+            (PipelineAccumulator::InpEm(a), PipelineAccumulator::InpEm(b)) => a.merge(b),
+            (PipelineAccumulator::Hcms(a), PipelineAccumulator::Hcms(b)) => a.merge(b),
+            (PipelineAccumulator::Cms(a), PipelineAccumulator::Cms(b)) => a.merge(b),
+            (PipelineAccumulator::Olh(a), PipelineAccumulator::Olh(b)) => a.merge(b),
+            // Equal state prefixes start with the same protocol tag.
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// The accumulator type tag (`StreamHeader::protocol`) of the
+    /// protocol this accumulator serves.
+    #[must_use]
+    pub fn protocol_tag(&self) -> u8 {
+        match self {
+            PipelineAccumulator::InpRr(_) => tag::INP_RR,
+            PipelineAccumulator::InpPs(_) => tag::INP_PS,
+            PipelineAccumulator::InpHt(_) => tag::INP_HT,
+            PipelineAccumulator::MargRr(_) => tag::MARG_RR,
+            PipelineAccumulator::MargPs(_) => tag::MARG_PS,
+            PipelineAccumulator::MargHt(_) => tag::MARG_HT,
+            PipelineAccumulator::InpEm(_) => tag::INP_EM,
+            PipelineAccumulator::Hcms(_) => tag::HCMS,
+            PipelineAccumulator::Cms(_) => tag::CMS,
+            PipelineAccumulator::Olh(_) => tag::OLH,
         }
     }
 
     /// Display name of the protocol this accumulator serves.
     #[must_use]
     pub fn protocol_name(&self) -> &'static str {
-        match self {
-            PipelineAccumulator::Mechanism(a) => a.kind().name(),
-            PipelineAccumulator::Oracle(a) => a.kind().name(),
-        }
+        protocol_name(self.protocol_tag())
     }
 
     /// Reports absorbed so far (summed across merges).
     pub fn report_count(&self) -> u64 {
-        match self {
-            PipelineAccumulator::Mechanism(a) => a.report_count(),
-            PipelineAccumulator::Oracle(a) => a.report_count(),
-        }
+        with_aggregator!(self, a => Accumulator::report_count(a))
     }
 
     /// Serialized state for the snapshot's state frame.
     pub fn to_bytes(&self) -> Vec<u8> {
-        match self {
-            PipelineAccumulator::Mechanism(a) => a.to_bytes(),
-            PipelineAccumulator::Oracle(a) => a.to_bytes(),
-        }
+        with_aggregator!(self, a => Accumulator::to_bytes(a))
     }
 
     /// Finalize into the queryable estimate.
     pub fn finalize(self) -> PipelineEstimate {
+        use PipelineEstimate::{Mechanism as M, Oracle as O};
         match self {
-            PipelineAccumulator::Mechanism(a) => PipelineEstimate::Mechanism(a.finalize()),
-            PipelineAccumulator::Oracle(a) => PipelineEstimate::Oracle(a.finalize()),
+            PipelineAccumulator::InpRr(a) => M(Estimate::Full(a.finalize())),
+            PipelineAccumulator::InpPs(a) => M(Estimate::Full(a.finalize())),
+            PipelineAccumulator::InpHt(a) => M(Estimate::Hadamard(a.finalize())),
+            PipelineAccumulator::MargRr(a) => M(Estimate::MarginalSet(a.finalize())),
+            PipelineAccumulator::MargPs(a) => M(Estimate::MarginalSet(a.finalize())),
+            PipelineAccumulator::MargHt(a) => M(Estimate::MarginalSet(a.finalize())),
+            PipelineAccumulator::InpEm(a) => M(Estimate::Em(a.finalize())),
+            PipelineAccumulator::Hcms(a) => O(OracleEstimate::Hcms(a.finalize())),
+            PipelineAccumulator::Cms(a) => O(OracleEstimate::Cms(a.finalize())),
+            PipelineAccumulator::Olh(a) => O(OracleEstimate::Olh(a.finalize())),
         }
     }
 }
@@ -636,6 +880,20 @@ pub enum PipelineEstimate {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
+
+    /// One header per protocol: the seven mechanisms, then the three
+    /// oracles.
+    fn all_headers(d: u32, eps: f64) -> Vec<StreamHeader> {
+        MechanismKind::ALL
+            .iter()
+            .map(|&kind| StreamHeader::mechanism(kind, d, 2, eps))
+            .chain(
+                OracleKind::ALL
+                    .iter()
+                    .map(|&kind| crate::streaming::oracle_header(kind, d, eps, 3, 16, 9)),
+            )
+            .collect()
+    }
 
     #[test]
     fn typed_reports_round_trip_for_both_families() {
@@ -758,5 +1016,215 @@ mod tests {
         assert!(PipelineReport::from_bytes(&[0x7F, 1]).is_err());
         assert!(PipelineReport::from_bytes(&[]).is_err());
         assert_eq!(acc.report_count(), 0);
+    }
+
+    #[test]
+    fn reports_and_states_round_trip_for_every_protocol() {
+        for header in all_headers(5, 1.3) {
+            let client = Client::from_header(&header).unwrap();
+            // The header alone rebuilds the client that encoded the
+            // stream: same reports under the same randomness.
+            let built = match Protocol::from_header(&header).unwrap() {
+                Protocol::Mechanism(kind) => Client::Mechanism(kind.build(5, 2, 1.3)),
+                Protocol::Oracle(kind) => Client::Oracle(kind.build(5, 1.3, 3, 16, 9)),
+            };
+            let mut rng = StdRng::seed_from_u64(77);
+            let mut twin = StdRng::seed_from_u64(77);
+            let mut direct = PipelineAccumulator::empty(&header).unwrap();
+            let mut rehydrated = PipelineAccumulator::empty(&header).unwrap();
+            for u in 0..200u64 {
+                let report = client.encode(u % 32, &mut rng);
+                assert_eq!(built.encode(u % 32, &mut twin), report);
+                assert_eq!(report.protocol_tag(), header.protocol);
+                let back = PipelineReport::from_bytes(&report.to_bytes()).unwrap();
+                assert_eq!(back, report, "{} report round trip", report.protocol_name());
+                direct.absorb(&report).unwrap();
+                rehydrated.absorb(&back).unwrap();
+            }
+            let name = direct.protocol_name();
+            assert_eq!(direct.report_count(), 200, "{name}");
+            let state = direct.to_bytes();
+            assert_eq!(
+                rehydrated.to_bytes(),
+                state,
+                "{name} after a report round trip"
+            );
+            let back = PipelineAccumulator::from_state(&header, &state).unwrap();
+            assert_eq!(back.protocol_tag(), header.protocol);
+            assert_eq!(back.to_bytes(), state, "{name} state round trip");
+            if let (PipelineEstimate::Mechanism(a), PipelineEstimate::Mechanism(b)) =
+                (direct.finalize(), back.finalize())
+            {
+                assert_eq!(a, b, "{name} estimates");
+            }
+        }
+    }
+
+    #[test]
+    fn every_protocol_refuses_every_other_protocols_reports() {
+        let headers = all_headers(4, 1.1);
+        let mut rng = StdRng::seed_from_u64(1);
+        let reports: Vec<PipelineReport> = headers
+            .iter()
+            .map(|h| Client::from_header(h).unwrap().encode(3, &mut rng))
+            .collect();
+        for header in &headers {
+            for report in &reports {
+                let mut acc = PipelineAccumulator::empty(header).unwrap();
+                let absorbed = acc.absorb(report);
+                // One rule: the header check and the accumulator agree.
+                assert_eq!(absorbed, report.check_header(header));
+                if report.protocol_tag() == header.protocol {
+                    assert_eq!(absorbed, Ok(()));
+                } else {
+                    let err = absorbed.unwrap_err();
+                    assert!(err.contains("mixes protocols"), "{err}");
+                    assert_eq!(acc.report_count(), 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn report_decode_rejects_bad_tag_truncation_and_bad_sign() {
+        assert!(PipelineReport::from_bytes(&[0x7E, ldp_core::wire::VERSION])
+            .unwrap_err()
+            .contains("unknown report tag"));
+        for full in [
+            PipelineReport::InpHt(InpHtReport {
+                coefficient: 9,
+                sign_positive: true,
+            }),
+            PipelineReport::MargHt(MargHtReport {
+                marginal: 2,
+                coefficient: 1,
+                sign_positive: false,
+            }),
+            PipelineReport::Hcms(HcmsReport {
+                row: 1,
+                coefficient: 3,
+                sign_positive: true,
+            }),
+        ]
+        .map(|r| r.to_bytes())
+        {
+            let err = PipelineReport::from_bytes(&full[..full.len() - 1]).unwrap_err();
+            assert!(err.contains("truncated"), "{err}");
+            let mut bad_sign = full.clone();
+            *bad_sign.last_mut().unwrap() = 2;
+            let err = PipelineReport::from_bytes(&bad_sign).unwrap_err();
+            assert!(err.contains("sign flag"), "{err}");
+        }
+
+        // Trailing bytes after a complete report are rejected.
+        let mut long = PipelineReport::InpPs(3).to_bytes();
+        long.push(0);
+        assert!(PipelineReport::from_bytes(&long).is_err());
+
+        // A list that claims more elements than the blob holds fails
+        // before allocating.
+        for t in [
+            tag::REPORT_MARG_RR,
+            tag::REPORT_INP_RR,
+            tag::REPORT_INP_RR_BITS,
+        ] {
+            let mut w = Writer::with_tag(t);
+            if t == tag::REPORT_MARG_RR {
+                w.put_u32(0);
+            }
+            w.put_u32(u32::MAX); // length prefix with no payload
+            let err = PipelineReport::from_bytes(w.as_bytes()).unwrap_err();
+            assert!(err.contains("truncated"), "{t:#04x}: {err}");
+        }
+    }
+
+    /// Headers that differ from `header` in one parameter its state
+    /// records.
+    fn foreign_headers(header: &StreamHeader) -> Vec<StreamHeader> {
+        let mut out = vec![
+            StreamHeader {
+                d: header.d + 1,
+                ..*header
+            },
+            StreamHeader {
+                eps: header.eps * 2.0,
+                ..*header
+            },
+        ];
+        if matches!(
+            header.mechanism_kind(),
+            Some(MechanismKind::InpHt | MechanismKind::MargRr)
+                | Some(MechanismKind::MargPs | MechanismKind::MargHt)
+        ) {
+            out.push(StreamHeader {
+                k: header.k + 1,
+                ..*header
+            });
+        }
+        if matches!(
+            OracleKind::from_wire_tag(header.protocol),
+            Some(OracleKind::Cms | OracleKind::Hcms)
+        ) {
+            out.push(StreamHeader {
+                hashes: header.hashes + 1,
+                ..*header
+            });
+            out.push(StreamHeader {
+                width: header.width * 2,
+                ..*header
+            });
+            out.push(StreamHeader {
+                family_seed: header.family_seed + 1,
+                ..*header
+            });
+        }
+        out
+    }
+
+    fn filled(header: &StreamHeader, n: u64) -> PipelineAccumulator {
+        let client = Client::from_header(header).unwrap();
+        let mut acc = PipelineAccumulator::empty(header).unwrap();
+        let mut rng = StdRng::seed_from_u64(header.d.into());
+        for u in 0..n {
+            acc.absorb(&client.encode(u % (1 << header.d.min(6)), &mut rng))
+                .unwrap();
+        }
+        acc
+    }
+
+    #[test]
+    fn states_recorded_under_other_parameters_are_refused_by_name() {
+        for header in all_headers(6, 1.1) {
+            let own = filled(&header, 200);
+            let state = own.to_bytes();
+            assert!(PipelineAccumulator::from_state(&header, &state).is_ok());
+            for foreign in foreign_headers(&header) {
+                let alien = filled(&foreign, 200);
+                let err = PipelineAccumulator::from_state(&header, &alien.to_bytes()).unwrap_err();
+                assert!(err.contains("other"), "{}: {err}", own.protocol_name());
+                assert!(err.contains(own.protocol_name()), "{err}");
+
+                // Merging never panics on a foreign shape: it refuses by
+                // name and leaves the target untouched.
+                let mut target = own.clone();
+                let err = target.merge(alien).unwrap_err();
+                assert!(err.contains("other parameters"), "{err}");
+                assert_eq!(target.to_bytes(), state);
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_states_are_refused() {
+        let header = StreamHeader::mechanism(MechanismKind::InpHt, 6, 2, 1.1);
+        let state = filled(&header, 50).to_bytes();
+        assert!(PipelineAccumulator::from_state(&header, &[]).is_err());
+        assert!(PipelineAccumulator::from_state(&header, &[0xFF, 1, 2, 3]).is_err());
+        for cut in [1, 2, 10, state.len() - 1] {
+            assert!(PipelineAccumulator::from_state(&header, &state[..cut]).is_err());
+        }
+        let mut long = state.clone();
+        long.push(0);
+        assert!(PipelineAccumulator::from_state(&header, &long).is_err());
     }
 }

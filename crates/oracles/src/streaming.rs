@@ -1,17 +1,13 @@
-//! Type-erased oracle client/server pair mirroring
-//! `ldp_core::MechanismAccumulator`: one report enum, one accumulator
-//! enum, one [`FrequencyOracle`] out — so the three frequency oracles
-//! ride the same `encode | ingest | merge | query` pipeline (and the
-//! same snapshot wire format) as the marginal mechanisms.
+//! The three frequency oracles as one protocol family: [`OracleKind`]
+//! names them, [`Oracle`] holds a built one, [`build_oracle`] and
+//! [`oracle_header`] map between an oracle and its [`StreamHeader`],
+//! and [`OracleEstimate`] answers queries for any of them. Reports and
+//! accumulators are type-erased once, together with the marginal
+//! mechanisms, in [`crate::pipeline`].
 
-use crate::{
-    Cms, CmsAggregator, CmsOracle, CmsReport, FrequencyOracle, HadamardCms, HadamardCmsAggregator,
-    HadamardCmsOracle, HcmsReport, Olh, OlhAggregator, OlhOracle, OlhReport,
-};
+use crate::{Cms, CmsOracle, FrequencyOracle, HadamardCms, HadamardCmsOracle, Olh, OlhOracle};
 use ldp_core::frame::StreamHeader;
-use ldp_core::wire::{tag, Reader, WireError, Writer};
-use ldp_core::Accumulator;
-use rand::Rng;
+use ldp_core::wire::tag;
 
 /// Identifier for one of the three frequency-oracle baselines.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -96,28 +92,6 @@ impl Oracle {
             Oracle::Hcms(_) => OracleKind::Hcms,
         }
     }
-
-    /// Client side: encode one user's value, consuming their private
-    /// randomness.
-    #[must_use]
-    pub fn encode<R: Rng + ?Sized>(&self, row: u64, rng: &mut R) -> OracleReport {
-        match self {
-            Oracle::Olh(o) => OracleReport::Olh(o.encode(row, rng)),
-            Oracle::Cms(o) => OracleReport::Cms(o.encode(row, rng)),
-            Oracle::Hcms(o) => OracleReport::Hcms(o.encode(row, rng)),
-        }
-    }
-
-    /// Server side: a fresh, empty accumulator matching this oracle's
-    /// configuration.
-    #[must_use]
-    pub fn accumulator(&self) -> OracleAccumulator {
-        match self {
-            Oracle::Olh(o) => OracleAccumulator::Olh(o.aggregator()),
-            Oracle::Cms(o) => OracleAccumulator::Cms(o.aggregator()),
-            Oracle::Hcms(o) => OracleAccumulator::Hcms(o.aggregator()),
-        }
-    }
 }
 
 /// Rebuild the oracle a [`StreamHeader`] describes (`None` when the
@@ -157,249 +131,6 @@ pub fn oracle_header(
     )
 }
 
-/// One user's report, for any [`OracleKind`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum OracleReport {
-    /// See [`OlhReport`].
-    Olh(OlhReport),
-    /// See [`CmsReport`].
-    Cms(CmsReport),
-    /// See [`HcmsReport`].
-    Hcms(HcmsReport),
-}
-
-impl OracleReport {
-    /// Which oracle this report belongs to.
-    #[must_use]
-    pub fn kind(&self) -> OracleKind {
-        match self {
-            OracleReport::Olh(_) => OracleKind::Olh,
-            OracleReport::Cms(_) => OracleKind::Cms,
-            OracleReport::Hcms(_) => OracleKind::Hcms,
-        }
-    }
-
-    /// Serialize into a report frame payload (tags `REPORT_*` of
-    /// [`tag`]).
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        match self {
-            OracleReport::Olh(r) => {
-                let mut w = Writer::with_tag(tag::REPORT_OLH);
-                w.put_u64(r.seed);
-                w.put_u8(r.bucket);
-                w.into_bytes()
-            }
-            OracleReport::Cms(r) => {
-                let mut w = Writer::with_tag(tag::REPORT_CMS);
-                w.put_u8(r.row);
-                w.put_u16_slice(&r.ones);
-                w.into_bytes()
-            }
-            OracleReport::Hcms(r) => {
-                let mut w = Writer::with_tag(tag::REPORT_HCMS);
-                w.put_u8(r.row);
-                w.put_u16(r.coefficient);
-                w.put_u8(u8::from(r.sign_positive));
-                w.into_bytes()
-            }
-        }
-    }
-
-    /// Decode one report at a cursor, leaving the cursor on the byte
-    /// after it (no trailing-bytes check) — the walk step for
-    /// `REPORT_BATCH` payloads, which concatenate many self-describing
-    /// report blobs. [`OracleReport::from_bytes`] is this plus a
-    /// whole-blob [`Reader::finish`].
-    pub fn decode_next(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.peek() {
-            Some(tag::REPORT_OLH) => {
-                r.expect_tag(tag::REPORT_OLH)?;
-                let seed = r.get_u64()?;
-                let bucket = r.get_u8()?;
-                Ok(OracleReport::Olh(OlhReport { seed, bucket }))
-            }
-            Some(tag::REPORT_CMS) => {
-                r.expect_tag(tag::REPORT_CMS)?;
-                let row = r.get_u8()?;
-                let ones = r.get_u16_vec()?;
-                Ok(OracleReport::Cms(CmsReport { row, ones }))
-            }
-            Some(tag::REPORT_HCMS) => {
-                r.expect_tag(tag::REPORT_HCMS)?;
-                let row = r.get_u8()?;
-                let coefficient = r.get_u16()?;
-                let sign_positive = match r.get_u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::Invalid("report sign flag")),
-                };
-                Ok(OracleReport::Hcms(HcmsReport {
-                    row,
-                    coefficient,
-                    sign_positive,
-                }))
-            }
-            _ => Err(WireError::Invalid("unknown oracle report tag")),
-        }
-    }
-
-    /// Decode a report frame payload written by
-    /// [`OracleReport::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(bytes);
-        let report = Self::decode_next(&mut r)?;
-        r.finish()?;
-        Ok(report)
-    }
-
-    /// Cursor form of [`OracleReport::decode_into`]: decode one report
-    /// at the cursor into `self`, reusing any heap capacity the current
-    /// value already owns. On error the cursor position and `self` are
-    /// unspecified (but valid); neither must be used further.
-    pub fn decode_next_into(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
-        match (r.peek(), &mut *self) {
-            (Some(tag::REPORT_CMS), OracleReport::Cms(report)) => {
-                r.expect_tag(tag::REPORT_CMS)?;
-                report.row = r.get_u8()?;
-                r.get_u16_vec_into(&mut report.ones)
-            }
-            // OLH and HCMS reports are fixed-size values: a plain
-            // decode already allocates nothing.
-            _ => {
-                *self = OracleReport::decode_next(r)?;
-                Ok(())
-            }
-        }
-    }
-
-    /// Decode a report frame payload into `self`, reusing any heap
-    /// capacity the current value already owns (the CMS position
-    /// buffer) — the zero-allocation decode path of the batched ingest
-    /// scratch. Accepts and rejects exactly what
-    /// [`OracleReport::from_bytes`] does; on error `self` is left as
-    /// some valid (but unspecified) report and must not be absorbed.
-    pub fn decode_into(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        let mut r = Reader::new(bytes);
-        self.decode_next_into(&mut r)?;
-        r.finish()
-    }
-}
-
-/// Type-erased [`Accumulator`] over the three oracle aggregators.
-#[derive(Clone, Debug)]
-pub enum OracleAccumulator {
-    /// See [`OlhAggregator`].
-    Olh(OlhAggregator),
-    /// See [`CmsAggregator`].
-    Cms(CmsAggregator),
-    /// See [`HadamardCmsAggregator`].
-    Hcms(HadamardCmsAggregator),
-}
-
-impl OracleAccumulator {
-    /// Which oracle this accumulator serves.
-    #[must_use]
-    pub fn kind(&self) -> OracleKind {
-        match self {
-            OracleAccumulator::Olh(_) => OracleKind::Olh,
-            OracleAccumulator::Cms(_) => OracleKind::Cms,
-            OracleAccumulator::Hcms(_) => OracleKind::Hcms,
-        }
-    }
-}
-
-#[track_caller]
-fn kind_mismatch(own: OracleKind, got: OracleKind) -> ! {
-    panic!(
-        "{} accumulator cannot absorb a {} report",
-        own.name(),
-        got.name()
-    );
-}
-
-impl Accumulator for OracleAccumulator {
-    type Report = OracleReport;
-    type Output = OracleEstimate;
-
-    fn absorb(&mut self, report: &OracleReport) {
-        match (&mut *self, report) {
-            (OracleAccumulator::Olh(a), OracleReport::Olh(r)) => Accumulator::absorb(a, r),
-            (OracleAccumulator::Cms(a), OracleReport::Cms(r)) => Accumulator::absorb(a, r),
-            (OracleAccumulator::Hcms(a), OracleReport::Hcms(r)) => Accumulator::absorb(a, r),
-            (acc, r) => kind_mismatch(acc.kind(), r.kind()),
-        }
-    }
-
-    /// Batched ingest with the accumulator dispatch hoisted out of the
-    /// loop: one variant match up front, then the concrete aggregator's
-    /// row-grouped absorb per report (no allocation, no per-report
-    /// double dispatch).
-    fn absorb_batch(&mut self, reports: &[OracleReport]) {
-        macro_rules! drain {
-            ($acc:ident, $variant:ident) => {
-                for report in reports {
-                    match report {
-                        OracleReport::$variant(r) => Accumulator::absorb($acc, r),
-                        other => kind_mismatch(OracleKind::$variant, other.kind()),
-                    }
-                }
-            };
-        }
-        match &mut *self {
-            OracleAccumulator::Olh(a) => drain!(a, Olh),
-            OracleAccumulator::Cms(a) => drain!(a, Cms),
-            OracleAccumulator::Hcms(a) => drain!(a, Hcms),
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        match (&mut *self, other) {
-            (OracleAccumulator::Olh(a), OracleAccumulator::Olh(b)) => Accumulator::merge(a, b),
-            (OracleAccumulator::Cms(a), OracleAccumulator::Cms(b)) => Accumulator::merge(a, b),
-            (OracleAccumulator::Hcms(a), OracleAccumulator::Hcms(b)) => Accumulator::merge(a, b),
-            (acc, b) => panic!(
-                "{} accumulator cannot merge a {} accumulator",
-                acc.kind().name(),
-                b.kind().name()
-            ),
-        }
-    }
-
-    fn report_count(&self) -> u64 {
-        match self {
-            OracleAccumulator::Olh(a) => a.report_count(),
-            OracleAccumulator::Cms(a) => a.report_count(),
-            OracleAccumulator::Hcms(a) => a.report_count(),
-        }
-    }
-
-    fn finalize(self) -> OracleEstimate {
-        match self {
-            OracleAccumulator::Olh(a) => OracleEstimate::Olh(a.finalize()),
-            OracleAccumulator::Cms(a) => OracleEstimate::Cms(a.finalize()),
-            OracleAccumulator::Hcms(a) => OracleEstimate::Hcms(a.finalize()),
-        }
-    }
-
-    fn to_bytes(&self) -> Vec<u8> {
-        match self {
-            OracleAccumulator::Olh(a) => a.to_bytes(),
-            OracleAccumulator::Cms(a) => a.to_bytes(),
-            OracleAccumulator::Hcms(a) => a.to_bytes(),
-        }
-    }
-
-    fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
-        match Reader::peek_tag(bytes) {
-            Some(tag::OLH) => Accumulator::from_bytes(bytes).map(OracleAccumulator::Olh),
-            Some(tag::CMS) => Accumulator::from_bytes(bytes).map(OracleAccumulator::Cms),
-            Some(tag::HCMS) => Accumulator::from_bytes(bytes).map(OracleAccumulator::Hcms),
-            _ => Err(WireError::Invalid("unknown oracle accumulator tag")),
-        }
-    }
-}
-
 /// Finalized oracle, for any [`OracleKind`] — answers frequency queries
 /// through the common [`FrequencyOracle`] trait.
 #[derive(Clone, Debug)]
@@ -427,124 +158,5 @@ impl FrequencyOracle for OracleEstimate {
             OracleEstimate::Cms(o) => o.estimate(value),
             OracleEstimate::Hcms(o) => o.estimate(value),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
-
-    fn build(kind: OracleKind) -> Oracle {
-        kind.build(6, 1.1, 3, 64, 9)
-    }
-
-    #[test]
-    fn reports_round_trip_and_feed_identical_state() {
-        for kind in OracleKind::ALL {
-            let oracle = build(kind);
-            let mut rng = StdRng::seed_from_u64(21);
-            let mut direct = oracle.accumulator();
-            let mut rehydrated = oracle.accumulator();
-            for u in 0..300u64 {
-                let report = oracle.encode(u % 64, &mut rng);
-                let back = OracleReport::from_bytes(&report.to_bytes())
-                    .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
-                assert_eq!(back, report, "{} report round trip", kind.name());
-                direct.absorb(&report);
-                rehydrated.absorb(&back);
-            }
-            assert_eq!(direct.report_count(), 300, "{}", kind.name());
-            assert_eq!(
-                direct.to_bytes(),
-                rehydrated.to_bytes(),
-                "{} state diverged after a report wire round trip",
-                kind.name()
-            );
-        }
-    }
-
-    #[test]
-    fn accumulator_state_round_trips_and_headers_rehydrate() {
-        for kind in OracleKind::ALL {
-            let oracle = build(kind);
-            let header = oracle_header(kind, 6, 1.1, 3, 64, 9);
-            let rebuilt = build_oracle(&header).unwrap();
-            assert_eq!(rebuilt.kind(), kind);
-
-            // The rebuilt client must produce the exact same reports —
-            // the hash family and probabilities are fully determined by
-            // the header.
-            let mut rng_a = StdRng::seed_from_u64(5);
-            let mut rng_b = StdRng::seed_from_u64(5);
-            let mut acc = oracle.accumulator();
-            for u in 0..200u64 {
-                let a = oracle.encode(u % 64, &mut rng_a);
-                let b = rebuilt.encode(u % 64, &mut rng_b);
-                assert_eq!(a, b, "{} rebuilt client diverged", kind.name());
-                acc.absorb(&a);
-            }
-            let bytes = acc.to_bytes();
-            let back = OracleAccumulator::from_bytes(&bytes)
-                .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
-            assert_eq!(back.kind(), kind);
-            assert_eq!(back.to_bytes(), bytes, "{} round trip", kind.name());
-        }
-    }
-
-    #[test]
-    fn merged_shards_match_serial_bytes() {
-        for kind in OracleKind::ALL {
-            let oracle = build(kind);
-            let mut rng = StdRng::seed_from_u64(8);
-            let reports: Vec<OracleReport> = (0..400u64)
-                .map(|u| oracle.encode(u % 64, &mut rng))
-                .collect();
-
-            let mut serial = oracle.accumulator();
-            for r in &reports {
-                serial.absorb(r);
-            }
-            let mut parts: Vec<OracleAccumulator> = (0..4)
-                .map(|s| {
-                    let mut acc = oracle.accumulator();
-                    for r in reports.iter().skip(s).step_by(4) {
-                        acc.absorb(r);
-                    }
-                    acc
-                })
-                .collect();
-            let mut merged = parts.remove(0);
-            for part in parts {
-                merged.merge(part);
-            }
-            assert_eq!(
-                merged.to_bytes(),
-                serial.to_bytes(),
-                "{} merge is not partition-invariant",
-                kind.name()
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "OLH accumulator cannot absorb a HCMS report")]
-    fn mismatched_report_kind_panics() {
-        let olh = build(OracleKind::Olh);
-        let hcms = build(OracleKind::Hcms);
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut acc = olh.accumulator();
-        acc.absorb(&hcms.encode(1, &mut rng));
-    }
-
-    #[test]
-    fn rejects_garbage_bytes() {
-        assert!(OracleAccumulator::from_bytes(&[]).is_err());
-        assert!(OracleReport::from_bytes(&[0x7F, 1]).is_err());
-        let full = OracleReport::Olh(OlhReport { seed: 5, bucket: 1 }).to_bytes();
-        assert_eq!(
-            OracleReport::from_bytes(&full[..full.len() - 1]),
-            Err(WireError::Truncated)
-        );
     }
 }

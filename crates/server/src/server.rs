@@ -8,8 +8,8 @@
 //! channels: single-report frames are decoded on the handler and sent
 //! typed; `REPORT_BATCH` frames (wire v2) are forwarded raw and
 //! batch-decoded on the worker, keeping the socket thread on pure
-//! frame I/O. A live snapshot collects every worker's serialized state
-//! and merges them **in worker order**, so the `Accumulator`
+//! frame I/O. A live snapshot collects a copy of every worker's
+//! accumulator and merges them **in worker order**, so the `Accumulator`
 //! partition-invariance law makes the result byte-identical to a
 //! serial single-process ingest of the same reports, no matter how
 //! connections, batches, and workers interleaved.
@@ -77,8 +77,9 @@ enum WorkerMsg {
     Batch(Vec<u8>, Arc<IngestProgress>),
     /// Acknowledge that everything enqueued earlier is absorbed.
     Flush(mpsc::Sender<()>),
-    /// Serialize the current accumulator state.
-    Collect(mpsc::Sender<Vec<u8>>),
+    /// Copy out the current accumulator (no serialize/parse round trip
+    /// inside one process).
+    Collect(mpsc::Sender<PipelineAccumulator>),
 }
 
 /// Per-connection outcome of batch frames settled on worker threads.
@@ -320,7 +321,7 @@ fn worker_loop(mut acc: PipelineAccumulator, rx: mpsc::Receiver<WorkerMsg>, shar
                     let _ = ack.send(());
                 }
                 WorkerMsg::Collect(reply) => {
-                    let _ = reply.send(acc.to_bytes());
+                    let _ = reply.send(acc.clone());
                 }
             }
         }
@@ -474,7 +475,7 @@ impl Shared {
         let pipeline = guard
             .as_ref()
             .ok_or("no report stream has been ingested yet")?;
-        let receivers: Vec<mpsc::Receiver<Vec<u8>>> = pipeline
+        let receivers: Vec<mpsc::Receiver<PipelineAccumulator>> = pipeline
             .workers
             .iter()
             .map(|w| {
@@ -487,10 +488,9 @@ impl Shared {
             .collect::<Result<_, String>>()?;
         let mut merged: Option<PipelineAccumulator> = None;
         for rx in receivers {
-            let state = rx
+            let acc = rx
                 .recv()
                 .map_err(|_| "a worker thread exited unexpectedly".to_string())?;
-            let acc = PipelineAccumulator::from_state(&pipeline.header, &state)?;
             merged = Some(match merged {
                 None => acc,
                 Some(mut base) => {

@@ -7,8 +7,8 @@
 //!    with the constants and `put_*`/`get_*` call sequences in
 //!    `crates/core/src/wire.rs` and `frame.rs`;
 //! 2. **panic paths** ([`panics`]) — non-test source on the collector
-//!    hot path (`crates/server`, the wire/frame decoders,
-//!    `ldp_oracles::pipeline`, `ldp-cli serve`) must not contain
+//!    hot path (`crates/server`, the wire/frame decoders, the report
+//!    decoders in `ldp_oracles::pipeline`, `ldp-cli serve`) must not contain
 //!    `unwrap`/`expect`/`panic!`/`unreachable!` or direct slice
 //!    indexing, except where the committed allowlist explains why;
 //! 3. **lossy casts** ([`casts`]) — `as u16`/`as u32`/`as usize`
@@ -108,7 +108,9 @@ impl fmt::Display for Diagnostic {
 /// scan, beyond every `.rs` file under `crates/server/src`. Each must
 /// exist: a missing entry is an [`Kind::Io`] diagnostic, so renaming a
 /// hot-path file forces a linter update instead of silently shrinking
-/// coverage.
+/// coverage. `crates/oracles/src/pipeline.rs` holds every report
+/// decoder and the one type-erased accumulator, so the whole path from
+/// report bytes to absorb is covered.
 pub const REQUIRED_FILES: [&str; 8] = [
     "crates/core/src/wire.rs",
     "crates/core/src/frame.rs",

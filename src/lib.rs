@@ -67,7 +67,7 @@ pub mod prelude {
     pub use ldp_bits::Mask;
     pub use ldp_core::{
         clamp_normalize, mean_kway_tvd, Accumulator, Estimate, MarginalEstimator, Mechanism,
-        MechanismAccumulator, MechanismKind, MechanismReport,
+        MechanismKind,
     };
     pub use ldp_data::categorical::CategoricalSchema;
     pub use ldp_data::movielens::MovieLensGenerator;

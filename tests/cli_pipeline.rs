@@ -12,7 +12,8 @@
 //! estimate must equal `Mechanism::run`.
 
 use ldp_core::frame::{read_snapshot, FrameReader, FrameWriter, StreamHeader};
-use ldp_core::{user_rng, Accumulator, MarginalEstimator, MechanismAccumulator, MechanismKind};
+use ldp_core::{user_rng, MarginalEstimator, MechanismKind};
+use ldp_oracles::pipeline::{Client, PipelineAccumulator, PipelineEstimate};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::OnceLock;
@@ -230,10 +231,11 @@ fn multiprocess_pipeline_matches_single_process_for_every_mechanism() {
 
         // In-process reference: same mechanism, same user_rng schedule.
         let mech = kind.build(D, K, EPS);
-        let mut reference = mech.accumulator();
+        let client = Client::Mechanism(mech.clone());
+        let mut reference = PipelineAccumulator::empty(&merged_header).unwrap();
         for (user, &row) in rows.iter().enumerate() {
             let mut rng = user_rng(SEED, user as u64);
-            reference.absorb(&mech.encode(row, &mut rng));
+            reference.absorb(&client.encode(row, &mut rng)).unwrap();
         }
         assert_eq!(
             merged_state,
@@ -245,10 +247,19 @@ fn multiprocess_pipeline_matches_single_process_for_every_mechanism() {
         // Estimate equality against Mechanism::run (InpRr's `run`
         // substitutes the aggregate simulation, so its reference is the
         // streaming accumulator only).
-        let rehydrated = MechanismAccumulator::from_bytes(&merged_state).unwrap();
-        assert_eq!(rehydrated.kind(), kind, "snapshot rehydration kind");
+        let rehydrated = PipelineAccumulator::from_state(&merged_header, &merged_state).unwrap();
+        assert_eq!(
+            rehydrated.protocol_tag(),
+            kind.wire_tag(),
+            "snapshot rehydration kind"
+        );
         assert_eq!(rehydrated.report_count(), N as u64, "{}", kind.name());
-        let estimate = rehydrated.finalize();
+        let PipelineEstimate::Mechanism(estimate) = rehydrated.finalize() else {
+            panic!(
+                "{}: a mechanism snapshot finalized as an oracle",
+                kind.name()
+            );
+        };
         if kind != MechanismKind::InpRr {
             assert_eq!(
                 estimate,
@@ -347,12 +358,12 @@ fn multiprocess_pipeline_matches_reference_for_oracles() {
             read_snapshot(std::fs::read(&merged_path).unwrap().as_slice()).unwrap();
         assert_eq!(header.mechanism_kind(), None, "{name} is not a mechanism");
 
-        // In-process reference through the type-erased oracle layer.
-        let oracle = kind.build(D, EPS, 3, 16, 9);
-        let mut reference = oracle.accumulator();
+        // In-process reference through the type-erased pipeline layer.
+        let client = Client::Oracle(kind.build(D, EPS, 3, 16, 9));
+        let mut reference = PipelineAccumulator::empty(&header).unwrap();
         for (user, &row) in rows.iter().enumerate() {
             let mut rng = user_rng(SEED, user as u64);
-            reference.absorb(&oracle.encode(row, &mut rng));
+            reference.absorb(&client.encode(row, &mut rng)).unwrap();
         }
         assert_eq!(
             merged_state,
@@ -392,7 +403,7 @@ fn pipeline_flows_through_stdin_and_stdout() {
     let snapshot = run_cli(&["ingest"], Some(&stream));
     let (header, state) = read_snapshot(snapshot.as_slice()).unwrap();
     assert_eq!(header.mechanism_kind(), Some(MechanismKind::MargPs));
-    let acc = MechanismAccumulator::from_bytes(&state).unwrap();
+    let acc = PipelineAccumulator::from_state(&header, &state).unwrap();
     assert_eq!(acc.report_count(), 300);
     let out = run_cli(&["query", "--format", "json"], Some(&snapshot));
     let text = String::from_utf8(out).unwrap();

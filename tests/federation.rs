@@ -570,6 +570,83 @@ fn corrupt_and_stale_pushes_are_named_and_survivable() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A push whose state was recorded under other parameters than the
+/// header it travels with (another `d`, another ε) is refused by name
+/// and counted as a rejected frame. Before the state check, such a push
+/// was stored, and every later snapshot either panicked merging it
+/// (InpRR) or folded a misaligned table in (InpHT); now the root's
+/// snapshot still equals a serial ingest of what it absorbed directly.
+#[test]
+fn pushes_recorded_under_other_parameters_are_refused() {
+    let sketch = SketchShape {
+        hashes: 3,
+        width: 16,
+        family_seed: 9,
+    };
+    for (name, d, eps) in [("InpHT", 6, 1.1), ("InpHT", 8, 3.0), ("InpRR", 6, 1.1)] {
+        let protocol = Protocol::parse(name).unwrap();
+        let header = header_for(protocol, 8, 2, 1.1, sketch);
+        let foreign = header_for(protocol, d, 2, eps, sketch);
+
+        let server = Server::bind("127.0.0.1:0", 2).unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let handle = std::thread::spawn(move || server.run());
+
+        // The root absorbs 200 reports directly; the serial reference
+        // absorbs the same ones.
+        let client = Client::from_header(&header).unwrap();
+        let mut serial = PipelineAccumulator::empty(&header).unwrap();
+        let frames: Vec<Vec<u8>> = (0..200u64)
+            .map(|u| client.encode_report(u % 256, &mut user_rng(7, u)))
+            .collect();
+        for frame in &frames {
+            serial.absorb_report(frame).unwrap();
+        }
+        assert_eq!(push_report_batches(&addr, &header, &frames, 16), Ok(200));
+
+        // A child's 200 reports, aggregated under the foreign
+        // parameters but pushed under the root's header.
+        let alien_client = Client::from_header(&foreign).unwrap();
+        let mut alien = PipelineAccumulator::empty(&foreign).unwrap();
+        for u in 0..200u64 {
+            let row = u % (1 << d);
+            alien
+                .absorb(&alien_client.encode(row, &mut user_rng(8, u)))
+                .unwrap();
+        }
+        let mut control = Control::connect(&addr).unwrap();
+        let rejected = |control: &mut Control| match control.request(&Request::Stats) {
+            Ok(Response::Stats(stats)) => stats.rejected_frames,
+            other => panic!("stats got {other:?}"),
+        };
+        let before = rejected(&mut control);
+        match control.request(&Request::Push(PushRequest {
+            collector: "child-a".to_string(),
+            epoch: 1,
+            header,
+            state: alien.to_bytes(),
+        })) {
+            Err(message) => assert!(
+                message.contains("records other InpHT parameters")
+                    || message.contains("records other InpRR parameters"),
+                "{name} d={d} eps={eps}: {message}"
+            ),
+            other => panic!("{name} d={d} eps={eps}: foreign push got {other:?}"),
+        }
+        assert_eq!(rejected(&mut control), before + 1);
+        match control.request(&Request::Snapshot) {
+            Ok(Response::Snapshot { state, .. }) => assert_eq!(
+                state,
+                serial.to_bytes(),
+                "{name} d={d} eps={eps}: snapshot differs from serial ingest"
+            ),
+            other => panic!("{name} d={d} eps={eps}: snapshot got {other:?}"),
+        }
+        control.request(&Request::Shutdown).unwrap();
+        handle.join().unwrap().unwrap();
+    }
+}
+
 /// `merge --connect` pulls live snapshots over the control plane and
 /// folds them with snapshot files: the offline half of federation.
 #[test]
