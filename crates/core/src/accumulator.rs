@@ -8,15 +8,15 @@ use crate::wire::WireError;
 /// The paper's aggregation step is a *sum of unbiased per-report
 /// transforms* — exactly the mergeable-summary shape of composite
 /// streaming sketches. `Accumulator` makes that structure explicit so a
-/// collector can ingest reports one at a time ([`Accumulator::absorb`] /
-/// [`Accumulator::absorb_batch`]), combine partial aggregates built by
-/// independent processes ([`Accumulator::merge`]), ship state across
-/// process boundaries ([`Accumulator::to_bytes`] /
-/// [`Accumulator::from_bytes`]), and only at the very end pay for
-/// estimation ([`Accumulator::finalize`]). Nothing requires the
-/// population to ever be materialized in memory. Every mechanism and
-/// frequency-oracle aggregator implements it; the one type-erased form
-/// covering all ten protocols is `ldp_oracles::pipeline::PipelineAccumulator`.
+/// collector can ingest reports one at a time ([`Accumulator::absorb`]),
+/// combine partial aggregates built by independent processes
+/// ([`Accumulator::merge`]), ship state across process boundaries
+/// ([`Accumulator::to_bytes`] / [`Accumulator::from_bytes`]), and only
+/// at the very end pay for estimation ([`Accumulator::finalize`]).
+/// Nothing requires the population to ever be materialized in memory.
+/// Every mechanism and frequency-oracle aggregator implements it; the
+/// one type-erased form covering all ten protocols is
+/// `ldp_oracles::pipeline::PipelineAccumulator`.
 ///
 /// # The partition-invariance law
 ///
@@ -78,18 +78,10 @@ pub trait Accumulator: Sized + Send {
     /// What [`Accumulator::finalize`] produces (an estimate type).
     type Output;
 
-    /// Ingest one report. Must be commutative up to state equality and
-    /// allocation-free for fixed-size report types.
+    /// Ingest one report — the aggregator's one absorb kernel; a buffer
+    /// of reports is this called in a loop. Must be commutative up to
+    /// state equality and allocation-free for fixed-size report types.
     fn absorb(&mut self, report: &Self::Report);
-
-    /// Ingest a buffer of reports. The default simply loops over
-    /// [`Accumulator::absorb`]; implementations override it when hoisting
-    /// per-report dispatch out of the loop helps the hot path.
-    fn absorb_batch(&mut self, reports: &[Self::Report]) {
-        for report in reports {
-            self.absorb(report);
-        }
-    }
 
     /// Fold another partial aggregate (same protocol configuration) into
     /// this one. Must be associative and commutative up to state

@@ -26,6 +26,10 @@ use std::collections::BTreeMap;
 pub struct InpEm {
     d: u32,
     rr: BinaryRandomizedResponse,
+    /// The per-bit flip probability `1 − p` in the fixed point
+    /// [`bernoulli_word`](ldp_sampling::bernoulli_word) compares
+    /// against, fixed by `rr` at construction.
+    flip: u64,
     omega: f64,
     max_iters: usize,
 }
@@ -45,9 +49,21 @@ impl InpEm {
     pub fn with_convergence(d: u32, eps: f64, omega: f64, max_iters: usize) -> Self {
         assert!((1..=63).contains(&d));
         assert!(omega > 0.0 && max_iters >= 1);
+        Self::with_rr(
+            d,
+            BinaryRandomizedResponse::for_epsilon(split_epsilon(eps, d)),
+            omega,
+            max_iters,
+        )
+    }
+
+    /// The instance with per-bit channel `rr`; shared by the
+    /// constructors and state rehydration.
+    fn with_rr(d: u32, rr: BinaryRandomizedResponse, omega: f64, max_iters: usize) -> Self {
         InpEm {
             d,
-            rr: BinaryRandomizedResponse::for_epsilon(split_epsilon(eps, d)),
+            rr,
+            flip: ldp_sampling::bernoulli_fixed(1.0 - rr.keep_probability()),
             omega,
             max_iters,
         }
@@ -74,15 +90,7 @@ impl InpEm {
     /// one `gen_bool` per attribute.
     #[inline]
     pub fn encode<R: Rng + ?Sized>(&self, row: u64, rng: &mut R) -> u64 {
-        row ^ ldp_sampling::bernoulli_word(rng, self.flip_fixed(), self.d)
-    }
-
-    /// Fixed-point flip probability for the lane-oriented encode (the
-    /// batch kernel hoists this out of its per-report loop).
-    #[inline]
-    #[must_use]
-    pub fn flip_fixed(&self) -> u64 {
-        ldp_sampling::bernoulli_fixed(1.0 - self.rr.keep_probability())
+        row ^ ldp_sampling::bernoulli_word(rng, self.flip, self.d)
     }
 
     /// Fresh aggregator.
@@ -132,6 +140,12 @@ impl InpEmAggregator {
         self.n += 1;
     }
 
+    /// Number of attributes `d` (a reported row is one of `2^d`).
+    #[must_use]
+    pub fn d(&self) -> u32 {
+        self.config.d
+    }
+
     /// Batched ingest, grouped by reported value: count the batch into
     /// the aggregator's dense `2^d` scratch first, then fold only the
     /// *distinct* rows into the sorted count map — `k` distinct values
@@ -139,16 +153,11 @@ impl InpEmAggregator {
     /// report. The scratch lives on the aggregator (allocated on the
     /// first batch, re-zeroed cell-by-cell during the fold), so
     /// steady-state batches allocate nothing. Falls back to the serial
-    /// loop when the domain is too large for a dense scratch. State is
-    /// byte-identical to absorbing each report in order.
-    pub fn absorb_batch(&mut self, reports: &[u64]) {
-        self.absorb_batch_iter(reports.iter().copied());
-    }
-
-    /// Iterator form of [`InpEmAggregator::absorb_batch`], so
-    /// type-erased report buffers (`PipelineReport` slices) reach the
-    /// group-by-value kernel without first being gathered into a `u64`
-    /// buffer.
+    /// loop when the domain is too large for a dense scratch. Takes an
+    /// iterator, so type-erased report buffers (`PipelineReport`
+    /// slices) reach the kernel without first being gathered into a
+    /// `u64` buffer. State is byte-identical to absorbing each report
+    /// in order.
     pub fn absorb_batch_iter<I: Iterator<Item = u64>>(&mut self, reports: I) {
         let mut reports = reports.peekable();
         if self.config.d > DENSE_SCRATCH_MAX_D || reports.peek().is_none() {
@@ -167,10 +176,10 @@ impl InpEmAggregator {
         for r in reports {
             n += 1;
             // Compare in u64 (not a truncating `as usize` index) so an
-            // out-of-domain row from a corrupt wire report can never
-            // alias an in-domain cell on 32-bit targets; such rows are
-            // counted straight into the map, exactly as the serial
-            // loop would.
+            // out-of-domain row can never alias an in-domain cell on
+            // 32-bit targets; such rows (which a collector refuses
+            // first) are counted straight into the map, exactly as the
+            // serial loop would.
             if r < cells as u64 {
                 let slot = &mut self.dense[r as usize];
                 if *slot == 0 {
@@ -246,10 +255,6 @@ impl Accumulator for InpEmAggregator {
         InpEmAggregator::absorb(self, *report);
     }
 
-    fn absorb_batch(&mut self, reports: &[u64]) {
-        InpEmAggregator::absorb_batch(self, reports);
-    }
-
     fn merge(&mut self, other: Self) {
         InpEmAggregator::merge(self, other);
     }
@@ -307,12 +312,12 @@ impl Accumulator for InpEmAggregator {
             return Err(WireError::Invalid("InpEM count total"));
         }
         Ok(InpEmAggregator {
-            config: InpEm {
+            config: InpEm::with_rr(
                 d,
-                rr: BinaryRandomizedResponse::with_keep_probability(p),
+                BinaryRandomizedResponse::with_keep_probability(p),
                 omega,
                 max_iters,
-            },
+            ),
             counts,
             n,
             dense: Vec::new(),
@@ -541,19 +546,23 @@ mod tests {
 
     #[test]
     fn batch_counts_out_of_domain_rows_like_serial() {
-        // Rows above 2^d (possible only from a corrupt wire report) miss
+        // Rows above 2^d (never encoded; a collector refuses them) miss
         // the dense scratch; the kernel must still count them exactly as
-        // the serial loop does.
-        let mech = InpEm::new(4, 1.0);
-        let reports = vec![3u64, 1 << 40, 3, u64::MAX, 5, 3];
-        let mut serial = mech.aggregator();
-        for &r in &reports {
-            serial.absorb(r);
+        // the serial loop does. At d = 20 the kernel takes its
+        // no-scratch path.
+        for d in [4, 20] {
+            let mech = InpEm::new(d, 1.0);
+            let reports = vec![3u64, 1 << 40, 3, u64::MAX, 5, 3];
+            let mut serial = mech.aggregator();
+            for &r in &reports {
+                serial.absorb(r);
+            }
+            let mut batched = mech.aggregator();
+            batched.absorb_batch_iter(reports.iter().copied());
+            batched.absorb_batch_iter(std::iter::empty());
+            assert_eq!(serial.to_bytes(), batched.to_bytes(), "d={d}");
+            assert_eq!(batched.n(), reports.len());
         }
-        let mut batched = mech.aggregator();
-        batched.absorb_batch(&reports);
-        assert_eq!(serial.to_bytes(), batched.to_bytes());
-        assert_eq!(batched.n(), reports.len());
     }
 
     #[test]

@@ -107,7 +107,9 @@ pub struct InpHtAggregator {
 }
 
 impl InpHtAggregator {
-    /// Absorb one report.
+    /// Absorb one report (Algorithm 2's inner step). The coefficient
+    /// must be one of the [`coefficient_count`](Self::coefficient_count)
+    /// candidates; a collector checks untrusted reports for this first.
     #[inline]
     pub fn absorb(&mut self, report: InpHtReport) {
         let i = report.coefficient as usize;
@@ -115,18 +117,10 @@ impl InpHtAggregator {
         self.counts[i] += 1;
     }
 
-    /// Batched ingest (Algorithm 2's inner loop over a report buffer):
-    /// lane-accumulated `i64` sign sums with the table borrows hoisted
-    /// out of the hot loop. State is byte-identical to absorbing each
-    /// report in order.
-    pub fn absorb_batch(&mut self, reports: &[InpHtReport]) {
-        let sums = &mut self.sums[..];
-        let counts = &mut self.counts[..];
-        for r in reports {
-            let i = r.coefficient as usize;
-            sums[i] += if r.sign_positive { 1 } else { -1 };
-            counts[i] += 1;
-        }
+    /// The number of candidate coefficients `|T|` a report may name.
+    #[must_use]
+    pub fn coefficient_count(&self) -> usize {
+        self.sums.len()
     }
 
     /// Fold another shard's aggregator into this one.
@@ -185,10 +179,6 @@ impl Accumulator for InpHtAggregator {
 
     fn absorb(&mut self, report: &InpHtReport) {
         InpHtAggregator::absorb(self, *report);
-    }
-
-    fn absorb_batch(&mut self, reports: &[InpHtReport]) {
-        InpHtAggregator::absorb_batch(self, reports);
     }
 
     fn merge(&mut self, other: Self) {

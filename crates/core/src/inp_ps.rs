@@ -72,26 +72,18 @@ pub struct InpPsAggregator {
 }
 
 impl InpPsAggregator {
-    /// Absorb one reported index. Indices are folded into the
-    /// 2^d-cell histogram (`report mod 2^d`), so a corrupt wire report
-    /// degrades to a miscount instead of panicking a collector thread;
-    /// the encoder never produces an out-of-range index.
+    /// Absorb one reported index, which must address one of the `2^d`
+    /// cells: the encoder never produces another, and a collector checks
+    /// untrusted reports for this first.
     #[inline]
     pub fn absorb(&mut self, report: u64) {
-        let mask = self.counts.len() as u64 - 1; // cell count is 2^d
-        self.counts[(report & mask) as usize] += 1;
+        self.counts[report as usize] += 1;
     }
 
-    /// Batched ingest: the serial loop with the histogram borrow and
-    /// cell mask hoisted (the masked index is provably in range, so the
-    /// increments compile without bounds checks). State is
-    /// byte-identical to absorbing each report in order.
-    pub fn absorb_batch(&mut self, reports: &[u64]) {
-        let mask = self.counts.len() as u64 - 1;
-        let counts = &mut self.counts[..];
-        for &report in reports {
-            counts[(report & mask) as usize] += 1;
-        }
+    /// Number of attributes `d` (the histogram has `2^d` cells).
+    #[must_use]
+    pub fn d(&self) -> u32 {
+        self.d
     }
 
     /// Fold another shard's aggregator into this one.
@@ -135,10 +127,6 @@ impl Accumulator for InpPsAggregator {
 
     fn absorb(&mut self, report: &u64) {
         InpPsAggregator::absorb(self, *report);
-    }
-
-    fn absorb_batch(&mut self, reports: &[u64]) {
-        InpPsAggregator::absorb_batch(self, reports);
     }
 
     fn merge(&mut self, other: Self) {

@@ -177,21 +177,13 @@ impl InpRrAggregator {
         self.ones.len().div_ceil(64)
     }
 
-    /// Check that a bitset report fits this accumulator: exactly
-    /// [`words`](Self::words) words, and no bit set past cell `2^d − 1`
-    /// (possible only when `2^d < 64`). The absorb kernels never panic
-    /// on a report that fails this — they drop extra words and bits and
-    /// count missing words as zero — so this is the check a collector
-    /// applies to untrusted reports first, to reject rather than
-    /// miscount them.
-    pub fn check_report(&self, words: &[u64]) -> Result<(), WireError> {
-        Self::check_bits(self.d, words)
-    }
-
-    /// [`check_report`](Self::check_report) for an accumulator over `d`
-    /// attributes, without one at hand — what a collector applies when
-    /// it validates a report against a stream header before routing it
-    /// to a worker.
+    /// Check that a bitset report fits an accumulator over `d`
+    /// attributes: exactly `⌈2^d/64⌉` words, and no bit set past cell
+    /// `2^d − 1` (possible only when `2^d < 64`). The absorb kernel
+    /// never panics on a report that fails this — it drops extra words
+    /// and bits and counts missing words as zero — so this is the check
+    /// a collector applies to untrusted reports first, to reject rather
+    /// than miscount them.
     pub fn check_bits(d: u32, words: &[u64]) -> Result<(), WireError> {
         let cells = 1u64.checked_shl(d).unwrap_or(0);
         if u64::try_from(words.len()).ok() != Some(cells.div_ceil(64)) || cells == 0 {
@@ -224,12 +216,6 @@ impl InpRrAggregator {
         self.absorb_batch_by(std::slice::from_ref(&positions), |p| {
             Some(InpRrReportRef::Positions(p))
         });
-    }
-
-    /// Batched ingest of bitset reports; state is byte-identical to
-    /// absorbing each report in order.
-    pub fn absorb_batch(&mut self, reports: &[Vec<u64>]) {
-        self.absorb_batch_by(reports, |r| Some(InpRrReportRef::Bits(r)));
     }
 
     /// The one absorb kernel: every item `view` maps to a report is
@@ -316,10 +302,6 @@ impl Accumulator for InpRrAggregator {
 
     fn absorb(&mut self, report: &Vec<u64>) {
         InpRrAggregator::absorb(self, report);
-    }
-
-    fn absorb_batch(&mut self, reports: &[Vec<u64>]) {
-        InpRrAggregator::absorb_batch(self, reports);
     }
 
     fn merge(&mut self, other: Self) {
@@ -485,8 +467,7 @@ mod tests {
     }
 
     #[test]
-    fn report_bytes_are_the_table_2_bits_rounded_to_words() {
-        use crate::wire::Writer;
+    fn report_words_are_the_table_2_bits_rounded_to_words() {
         use ldp_mechanisms::theory::MethodBound;
         for d in 1..=12u32 {
             let mech = InpRr::new(d, 1.1);
@@ -498,22 +479,8 @@ mod tests {
 
             let mut rng = StdRng::seed_from_u64(u64::from(d));
             let report = mech.encode(u64::from(d) % (1 << d), &mut rng);
-            assert_eq!(report.len(), words);
-            let mut serial = Writer::default();
-            crate::put_inp_rr_bits(&mut serial, report.len(), |w| {
-                report.iter().for_each(|&word| w.put_u64(word));
-            });
-            let serial = serial.into_bytes();
-            assert_eq!(serial.len(), 6 + 8 * words, "d={d}");
-
-            let mut w = Writer::default();
-            let mut rng = StdRng::seed_from_u64(u64::from(d));
-            crate::Mechanism::InpRr(mech).encode_report_into(
-                u64::from(d) % (1 << d),
-                &mut rng,
-                &mut w,
-            );
-            assert_eq!(w.as_bytes(), &serial[..], "d={d}");
+            assert_eq!(report.len(), words, "d={d}");
+            assert_eq!(mech.words(), words, "d={d}");
         }
     }
 

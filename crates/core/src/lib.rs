@@ -10,10 +10,10 @@
 //! 1. **Client**: each user holds a private record `j ∈ {0,1}^d` and calls
 //!    `encode(row, rng)` exactly once, producing a small LDP report;
 //! 2. **Server**: an [`Accumulator`] absorbs reports one at a time
-//!    ([`Accumulator::absorb`] / [`Accumulator::absorb_batch`]), merges
-//!    partial aggregates from parallel shards or separate processes
-//!    ([`Accumulator::merge`], [`Accumulator::to_bytes`]), never needing
-//!    the population in memory;
+//!    ([`Accumulator::absorb`]), merges partial aggregates from parallel
+//!    shards or separate processes ([`Accumulator::merge`],
+//!    [`Accumulator::to_bytes`]), never needing the population in
+//!    memory;
 //! 3. **Estimation**: [`Accumulator::finalize`] produces an [`Estimate`]
 //!    from which *any* k-way marginal can be reconstructed on demand —
 //!    the paper's requirement that queries need not be known during
@@ -41,7 +41,6 @@ mod accumulator;
 mod bitslice;
 mod categorical;
 pub mod consistency;
-mod encode;
 mod estimate;
 pub mod frame;
 mod inp_em;
@@ -57,7 +56,6 @@ pub mod wire;
 
 pub use accumulator::Accumulator;
 pub use categorical::{CatMargPs, CatMargPsAggregator, CatMargPsReport, CatMarginalSetEstimate};
-pub use encode::put_inp_rr_bits;
 pub use estimate::{
     clamp_normalize, exact_hadamard_estimate, mean_kway_tvd, Estimate, FullDistributionEstimate,
     HadamardEstimate, MarginalEstimator, MarginalSetEstimate,

@@ -118,40 +118,27 @@ pub struct MargHtAggregator {
 }
 
 impl MargHtAggregator {
-    /// Absorb one report. Coefficient indices are folded into the
-    /// sampled marginal's 2^k coefficients (`coefficient mod 2^k`), so a
-    /// corrupt wire report degrades to a miscount instead of panicking a
-    /// collector thread; a report naming a marginal outside `C(d,k)`
-    /// still panics, as before.
+    /// Absorb one report. The marginal must be one of the
+    /// [`marginal_count`](Self::marginal_count) tables and the
+    /// coefficient one of its `2^k`; a collector checks untrusted
+    /// reports for this first.
     #[inline]
     pub fn absorb(&mut self, report: MargHtReport) {
-        let cells = 1usize << self.k;
-        let idx = report.marginal as usize * cells + (report.coefficient as usize & (cells - 1));
+        let idx = ((report.marginal as usize) << self.k) | report.coefficient as usize;
         self.sums[idx] += if report.sign_positive { 1 } else { -1 };
         self.counts[idx] += 1;
     }
 
-    /// Batched ingest: lane-accumulated `i64` sign sums with the flat
-    /// table borrows and coefficient mask hoisted. State is
-    /// byte-identical to absorbing each report in order.
-    pub fn absorb_batch(&mut self, reports: &[MargHtReport]) {
-        let cells = 1usize << self.k;
-        let mask = cells - 1;
-        let sums = &mut self.sums[..];
-        let counts = &mut self.counts[..];
-        for report in reports {
-            let idx = report.marginal as usize * cells + (report.coefficient as usize & mask);
-            // Named invariant before the raw index: the coefficient is
-            // masked into range, so the marginal index is the only way
-            // this kernel can leave the flat tables.
-            debug_assert!(
-                idx < counts.len(),
-                "report marginal {} outside the C(d,k) coefficient tables",
-                report.marginal
-            );
-            sums[idx] += if report.sign_positive { 1 } else { -1 };
-            counts[idx] += 1;
-        }
+    /// Marginal order `k` (each table has `2^k` coefficients).
+    #[must_use]
+    pub fn k(&self) -> u32 {
+        self.k
+    }
+
+    /// Number of k-way marginal tables `C(d,k)`.
+    #[must_use]
+    pub fn marginal_count(&self) -> usize {
+        self.counts.len() >> self.k
     }
 
     /// Fold another shard's aggregator into this one.
@@ -218,10 +205,6 @@ impl Accumulator for MargHtAggregator {
 
     fn absorb(&mut self, report: &MargHtReport) {
         MargHtAggregator::absorb(self, *report);
-    }
-
-    fn absorb_batch(&mut self, reports: &[MargHtReport]) {
-        MargHtAggregator::absorb_batch(self, reports);
     }
 
     fn merge(&mut self, other: Self) {

@@ -107,36 +107,26 @@ pub struct MargPsAggregator {
 }
 
 impl MargPsAggregator {
-    /// Absorb one report. Cell indices are folded into the sampled
-    /// marginal's 2^k-cell histogram (`cell mod 2^k`), so a corrupt
-    /// wire report degrades to a miscount instead of panicking a
-    /// collector thread; a report naming a marginal outside `C(d,k)`
-    /// still panics, as before.
+    /// Absorb one report. The marginal must be one of the
+    /// [`marginal_count`](Self::marginal_count) histograms and the cell
+    /// one of its `2^k`; a collector checks untrusted reports for this
+    /// first.
     #[inline]
     pub fn absorb(&mut self, report: MargPsReport) {
-        let cells = 1usize << self.k;
-        let idx = report.marginal as usize * cells + (report.cell as usize & (cells - 1));
+        let idx = ((report.marginal as usize) << self.k) | report.cell as usize;
         self.counts[idx] += 1;
     }
 
-    /// Batched ingest: the serial loop with the flat histogram borrow
-    /// and cell mask hoisted. State is byte-identical to absorbing each
-    /// report in order.
-    pub fn absorb_batch(&mut self, reports: &[MargPsReport]) {
-        let cells = 1usize << self.k;
-        let mask = cells - 1;
-        let counts = &mut self.counts[..];
-        for report in reports {
-            // Named invariant before the raw index: the cell offset is
-            // masked into range, so the marginal index is the only way
-            // this kernel can leave the flat histogram.
-            debug_assert!(
-                report.marginal as usize * cells < counts.len(),
-                "report marginal {} outside the C(d,k) histogram set",
-                report.marginal
-            );
-            counts[report.marginal as usize * cells + (report.cell as usize & mask)] += 1;
-        }
+    /// Marginal order `k` (each histogram has `2^k` cells).
+    #[must_use]
+    pub fn k(&self) -> u32 {
+        self.k
+    }
+
+    /// Number of k-way marginal histograms `C(d,k)`.
+    #[must_use]
+    pub fn marginal_count(&self) -> usize {
+        self.counts.len() >> self.k
     }
 
     /// Fold another shard's aggregator into this one.
@@ -195,10 +185,6 @@ impl Accumulator for MargPsAggregator {
 
     fn absorb(&mut self, report: &MargPsReport) {
         MargPsAggregator::absorb(self, *report);
-    }
-
-    fn absorb_batch(&mut self, reports: &[MargPsReport]) {
-        MargPsAggregator::absorb_batch(self, reports);
     }
 
     fn merge(&mut self, other: Self) {

@@ -155,45 +155,30 @@ pub struct MargRrAggregator {
 }
 
 impl MargRrAggregator {
-    /// Absorb one report. Cell indices are folded into the sampled
-    /// marginal's 2^k-cell table (`cell mod 2^k`), so a corrupt wire
-    /// report degrades to a miscount instead of panicking a collector
-    /// thread; a report naming a marginal outside `C(d,k)` still
-    /// panics, as before.
+    /// Absorb one report. The marginal must be one of the
+    /// [`marginal_count`](Self::marginal_count) tables and every cell
+    /// one of its `2^k`; a collector checks untrusted reports for this
+    /// first.
     pub fn absorb(&mut self, report: &MargRrReport) {
         let cells = 1usize << self.k;
-        let mask = cells - 1;
         let m = report.marginal as usize;
         self.users[m] += 1;
-        let base = m * cells;
+        let table = &mut self.ones[m * cells..][..cells];
         for &c in &report.ones {
-            self.ones[base + (c as usize & mask)] += 1;
+            table[c as usize] += 1;
         }
     }
 
-    /// Batched ingest: the serial loop with the flat table borrows and
-    /// cell mask hoisted. State is byte-identical to absorbing each
-    /// report in order.
-    pub fn absorb_batch(&mut self, reports: &[MargRrReport]) {
-        let cells = 1usize << self.k;
-        let mask = cells - 1;
-        let users = &mut self.users[..];
-        let ones = &mut self.ones[..];
-        for report in reports {
-            let m = report.marginal as usize;
-            // Named invariant before the raw index: the cell offset is
-            // masked into range, so the marginal index is the only way
-            // this kernel can leave the flat table.
-            debug_assert!(
-                m < users.len(),
-                "report marginal {m} outside the C(d,k) table set"
-            );
-            users[m] += 1;
-            let base = m * cells;
-            for &c in &report.ones {
-                ones[base + (c as usize & mask)] += 1;
-            }
-        }
+    /// Marginal order `k` (each table has `2^k` cells).
+    #[must_use]
+    pub fn k(&self) -> u32 {
+        self.k
+    }
+
+    /// Number of k-way marginal tables `C(d,k)`.
+    #[must_use]
+    pub fn marginal_count(&self) -> usize {
+        self.users.len()
     }
 
     /// Fold another shard's aggregator into this one.
@@ -257,10 +242,6 @@ impl Accumulator for MargRrAggregator {
 
     fn absorb(&mut self, report: &MargRrReport) {
         MargRrAggregator::absorb(self, report);
-    }
-
-    fn absorb_batch(&mut self, reports: &[MargRrReport]) {
-        MargRrAggregator::absorb_batch(self, reports);
     }
 
     fn merge(&mut self, other: Self) {

@@ -181,6 +181,9 @@ pub struct Writer {
     buf: Vec<u8>,
 }
 
+// The small writers are `#[inline]` because the report writers and the
+// batched encode kernel that call them per report live in another crate
+// (`ldp_oracles::pipeline`).
 impl Writer {
     /// Start a blob with the given type tag and the current [`VERSION`].
     #[must_use]
@@ -197,6 +200,7 @@ impl Writer {
     /// header, keeping the existing allocation. The reuse form of
     /// [`with_tag`](Self::with_tag) for hot loops (batch encode kernels
     /// fill one `Writer` per frame instead of allocating per report).
+    #[inline]
     pub fn reset_with_tag(&mut self, tag: u8) {
         self.buf.clear();
         self.buf.push(tag);
@@ -206,6 +210,7 @@ impl Writer {
     /// Append a nested blob header (tag + current [`VERSION`]) mid-buffer
     /// — used when packing self-describing report blobs back to back
     /// inside a [`tag::REPORT_BATCH`] payload without per-report `Vec`s.
+    #[inline]
     pub fn put_tag(&mut self, tag: u8) {
         self.buf.push(tag);
         self.buf.push(VERSION);
@@ -219,6 +224,7 @@ impl Writer {
 
     /// Number of bytes encoded so far.
     #[must_use]
+    #[inline]
     pub fn len(&self) -> usize {
         self.buf.len()
     }
@@ -234,6 +240,7 @@ impl Writer {
     /// back-patching a count prefix once a batch loop knows its final
     /// size. Returns `false` (and leaves the buffer untouched) if the
     /// range is out of bounds.
+    #[inline]
     pub fn patch_u32(&mut self, pos: usize, v: u32) -> bool {
         match self.buf.get_mut(pos..pos + 4) {
             Some(slot) => {
@@ -245,21 +252,25 @@ impl Writer {
     }
 
     /// Append a raw byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Append a `u16`, little-endian.
+    #[inline]
     pub fn put_u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a `u32`, little-endian.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a `u64`, little-endian.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -290,18 +301,24 @@ impl Writer {
         }
     }
 
-    /// Append a `u32`-length-prefixed `u16` slice (the compact form used
-    /// by per-report frames, where every byte counts).
+    /// Append a `u32`-count-prefixed `u16` list (the compact form used
+    /// by per-report frames, where every byte counts) of the values
+    /// `fill` pushes. The prefix is patched once the list is complete,
+    /// so a caller streams values onto the wire without buffering them.
     ///
-    /// The compact prefix caps the slice at `u32::MAX` elements; real
-    /// report slices are orders of magnitude below it (and the 1 GiB
+    /// The compact prefix caps the list at `u32::MAX` elements; real
+    /// report lists are orders of magnitude below it (and the 1 GiB
     /// frame cap rejects anything near it on the wire).
-    pub fn put_u16_slice(&mut self, vs: &[u16]) {
-        debug_assert!(vs.len() <= 0xFFFF_FFFF, "slice exceeds the u32 prefix");
-        self.put_u32(vs.len() as u32);
-        for &v in vs {
-            self.put_u16(v);
-        }
+    pub fn put_u16_list(&mut self, fill: impl FnOnce(&mut U16List<'_>)) {
+        let prefix = self.len();
+        self.put_u32(0);
+        let mut list = U16List {
+            w: &mut *self,
+            count: 0,
+        };
+        fill(&mut list);
+        let count = list.count;
+        self.patch_u32(prefix, count);
     }
 
     /// Append a `u32`-length-prefixed `u32` slice (compact report form).
@@ -344,6 +361,22 @@ impl Writer {
     #[must_use]
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+}
+
+/// A `u16` list being appended by [`Writer::put_u16_list`].
+#[derive(Debug)]
+pub struct U16List<'w> {
+    w: &'w mut Writer,
+    count: u32,
+}
+
+impl U16List<'_> {
+    /// Append one value.
+    #[inline]
+    pub fn push(&mut self, v: u16) {
+        self.w.put_u16(v);
+        self.count = self.count.saturating_add(1);
     }
 }
 
@@ -756,9 +789,9 @@ mod tests {
     fn compact_slices_round_trip() {
         let mut w = Writer::with_tag(0x02);
         w.put_u16(513);
-        w.put_u16_slice(&[7, 0, u16::MAX]);
+        w.put_u16_list(|list| [7, 0, u16::MAX].into_iter().for_each(|v| list.push(v)));
         w.put_u32_slice(&[1, u32::MAX]);
-        w.put_u16_slice(&[]);
+        w.put_u16_list(|_| {});
         let bytes = w.into_bytes();
         let mut r = Reader::with_tag(&bytes, 0x02).unwrap();
         assert_eq!(r.get_u16().unwrap(), 513);
@@ -830,7 +863,7 @@ mod tests {
     #[test]
     fn truncated_mid_element_is_detected() {
         let mut w = Writer::with_tag(0x03);
-        w.put_u16_slice(&[1, 2, 3]);
+        w.put_u16_list(|list| (1..=3).for_each(|v| list.push(v)));
         let mut bytes = w.into_bytes();
         bytes.truncate(bytes.len() - 1); // cut the last element short
         let mut r = Reader::with_tag(&bytes, 0x03).unwrap();

@@ -136,30 +136,30 @@ pub struct CmsAggregator {
 }
 
 impl CmsAggregator {
-    /// Absorb one report.
+    /// Absorb one report: the sampled row is borrowed once, then its
+    /// reported positions are scattered into that contiguous row. The
+    /// row must be one of the [`rows`](Self::rows) and every position
+    /// one of the [`width`](Self::width) buckets; a collector checks
+    /// untrusted reports for this first.
     pub fn absorb(&mut self, report: &CmsReport) {
         let l = report.row as usize;
         self.users[l] += 1;
+        let row = &mut self.ones[l][..];
         for &b in &report.ones {
-            self.ones[l][b as usize] += 1;
+            row[b as usize] += 1;
         }
     }
 
-    /// Batched ingest: row-grouped sketch updates — each report's
-    /// sampled row is borrowed once, then its reported positions are
-    /// scattered into that single contiguous row. State is
-    /// byte-identical to absorbing each report in order.
-    pub fn absorb_batch(&mut self, reports: &[CmsReport]) {
-        let users = &mut self.users[..];
-        let ones = &mut self.ones[..];
-        for report in reports {
-            let l = report.row as usize;
-            users[l] += 1;
-            let row = &mut ones[l][..];
-            for &b in &report.ones {
-                row[b as usize] += 1;
-            }
-        }
+    /// Number of sketch rows `g`.
+    #[must_use]
+    pub fn rows(&self) -> usize {
+        self.config.g
+    }
+
+    /// Sketch width `w`.
+    #[must_use]
+    pub fn width(&self) -> usize {
+        self.config.w
     }
 
     /// Fold another shard's aggregator into this one.
@@ -229,10 +229,6 @@ impl Accumulator for CmsAggregator {
 
     fn absorb(&mut self, report: &CmsReport) {
         CmsAggregator::absorb(self, report);
-    }
-
-    fn absorb_batch(&mut self, reports: &[CmsReport]) {
-        CmsAggregator::absorb_batch(self, reports);
     }
 
     fn merge(&mut self, other: Self) {

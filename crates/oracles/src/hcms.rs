@@ -118,25 +118,26 @@ pub struct HadamardCmsAggregator {
 }
 
 impl HadamardCmsAggregator {
-    /// Absorb one report.
+    /// Absorb one report. The row must be one of the
+    /// [`rows`](Self::rows) and the coefficient one of the
+    /// [`width`](Self::width); a collector checks untrusted reports for
+    /// this first.
     pub fn absorb(&mut self, report: HcmsReport) {
         let (l, m) = (report.row as usize, report.coefficient as usize);
         self.sums[l][m] += if report.sign_positive { 1 } else { -1 };
         self.counts[l][m] += 1;
     }
 
-    /// Batched ingest: row-grouped sketch updates with lane-accumulated
-    /// `i64` sign sums — each report's sampled row is borrowed once
-    /// before the coefficient lanes are updated. State is byte-identical
-    /// to absorbing each report in order.
-    pub fn absorb_batch(&mut self, reports: &[HcmsReport]) {
-        let sums = &mut self.sums[..];
-        let counts = &mut self.counts[..];
-        for report in reports {
-            let (l, m) = (report.row as usize, report.coefficient as usize);
-            sums[l][m] += if report.sign_positive { 1 } else { -1 };
-            counts[l][m] += 1;
-        }
+    /// Number of sketch rows `g`.
+    #[must_use]
+    pub fn rows(&self) -> usize {
+        self.config.g
+    }
+
+    /// Sketch width `w`.
+    #[must_use]
+    pub fn width(&self) -> usize {
+        self.config.w
     }
 
     /// Fold another shard's aggregator into this one.
@@ -217,10 +218,6 @@ impl Accumulator for HadamardCmsAggregator {
 
     fn absorb(&mut self, report: &HcmsReport) {
         HadamardCmsAggregator::absorb(self, *report);
-    }
-
-    fn absorb_batch(&mut self, reports: &[HcmsReport]) {
-        HadamardCmsAggregator::absorb_batch(self, reports);
     }
 
     fn merge(&mut self, other: Self) {

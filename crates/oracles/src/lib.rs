@@ -32,7 +32,6 @@
 //! `to_bytes` across process boundaries).
 
 mod cms;
-mod encode;
 mod hcms;
 mod olh;
 mod oracle;

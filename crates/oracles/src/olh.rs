@@ -114,17 +114,18 @@ pub enum OlhDecode {
 }
 
 impl OlhAggregator {
-    /// Absorb one report.
+    /// Absorb one report. Its bucket must be one of the
+    /// [`buckets`](Self::buckets) (a state holding another does not
+    /// rehydrate); a collector checks untrusted reports for this
+    /// first.
     pub fn absorb(&mut self, report: OlhReport) {
         self.reports.push(report);
     }
 
-    /// Batched ingest: one reservation plus a bulk copy of the whole
-    /// report buffer, instead of a push (with its capacity check) per
-    /// report. State is byte-identical to absorbing each report in
-    /// order.
-    pub fn absorb_batch(&mut self, reports: &[OlhReport]) {
-        self.reports.extend_from_slice(reports);
+    /// Number of hash buckets `g`.
+    #[must_use]
+    pub fn buckets(&self) -> u64 {
+        self.config.g
     }
 
     /// Fold another shard's aggregator into this one.
@@ -173,10 +174,6 @@ impl Accumulator for OlhAggregator {
 
     fn absorb(&mut self, report: &OlhReport) {
         OlhAggregator::absorb(self, *report);
-    }
-
-    fn absorb_batch(&mut self, reports: &[OlhReport]) {
-        OlhAggregator::absorb_batch(self, reports);
     }
 
     fn merge(&mut self, other: Self) {

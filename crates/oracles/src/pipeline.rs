@@ -6,7 +6,9 @@
 //! [`PipelineAccumulator`] one per protocol, each holding the typed
 //! report or aggregator directly, keyed by the [`StreamHeader`] that
 //! travels as frame 0 of every stream and snapshot. Every report
-//! decoder lives here.
+//! decoder and every report writer lives here, with the one encode
+//! kernel ([`Client::encode_batch`]) and the one acceptance rule
+//! ([`ReportRule`]).
 //!
 //! This crate hosts the module because it is the lowest layer that can
 //! see both protocol families (`ldp_oracles` depends on `ldp_core`).
@@ -19,9 +21,9 @@ use crate::{
     CmsAggregator, CmsReport, HadamardCmsAggregator, HcmsReport, OlhAggregator, OlhReport,
 };
 use ldp_core::frame::StreamHeader;
-use ldp_core::wire::{tag, Reader, WireError, Writer};
+use ldp_core::wire::{tag, Reader, U16List, WireError, Writer};
 use ldp_core::{
-    put_inp_rr_bits, Accumulator, Estimate, InpEmAggregator, InpHtAggregator, InpHtReport,
+    user_rng, Accumulator, Estimate, InpEmAggregator, InpHtAggregator, InpHtReport,
     InpPsAggregator, InpRrAggregator, InpRrReportRef, MargHtAggregator, MargHtReport,
     MargPsAggregator, MargPsReport, MargRrAggregator, MargRrReport, Mechanism, MechanismKind,
 };
@@ -246,6 +248,161 @@ impl Client {
     pub fn encode_report<R: Rng + ?Sized>(&self, row: u64, rng: &mut R) -> Vec<u8> {
         self.encode(row, rng).to_bytes()
     }
+
+    /// Serialize one user's report for `row` straight into `w`: the
+    /// bytes of `self.encode(row, rng).to_bytes()`, drawn from `rng`
+    /// in the same order, appended at the writer's current position.
+    pub fn encode_report_into<R: Rng + ?Sized>(&self, row: u64, rng: &mut R, w: &mut Writer) {
+        self.write_reports(std::iter::once((row, rng)), w);
+    }
+
+    /// Encode a batch of rows into `w` as one complete
+    /// [`tag::REPORT_BATCH`] frame payload (the writer is reset first,
+    /// keeping its allocation). Row `i` is encoded under
+    /// `user_rng(seed, first_user + i)`, so chunking a population into
+    /// batches of any size produces exactly the bytes of the serial
+    /// per-user loop: the frame equals [`encode_report_batch`] over the
+    /// serial reports' `to_bytes` blobs (`tests/encode_kernels.rs`).
+    pub fn encode_batch(&self, rows: &[u64], seed: u64, first_user: u64, w: &mut Writer) {
+        w.reset_with_tag(tag::REPORT_BATCH);
+        w.put_u32(u32::try_from(rows.len()).unwrap_or(u32::MAX));
+        let users = rows
+            .iter()
+            .zip(0u64..)
+            .map(|(&row, i)| (row, user_rng(seed, first_user.wrapping_add(i))));
+        self.write_reports(users, w);
+    }
+
+    /// The one encode kernel: append each `(row, rng)` user's report to
+    /// `w`, with the protocol match hoisted out of the per-user loop.
+    /// Every report goes through its layout's one writer, the one
+    /// `to_bytes` uses, and the list layouts stream each draw straight
+    /// onto the wire, so no report allocates.
+    fn write_reports<G: Rng>(&self, users: impl Iterator<Item = (u64, G)>, w: &mut Writer) {
+        macro_rules! each {
+            (|$row:ident, $rng:ident| $write:expr) => {
+                for ($row, mut owned) in users {
+                    let $rng = &mut owned;
+                    $write;
+                }
+            };
+        }
+        match self {
+            Client::Mechanism(Mechanism::InpRr(m)) => each!(|row, rng| {
+                put_inp_rr_bits(w, m.words(), |w| {
+                    m.perturbed_words(row, rng, |word| w.put_u64(word));
+                });
+            }),
+            Client::Mechanism(Mechanism::InpPs(m)) => {
+                each!(|row, rng| put_inp_ps(w, || m.encode(row, rng)))
+            }
+            Client::Mechanism(Mechanism::InpHt(m)) => {
+                each!(|row, rng| put_inp_ht(w, || m.encode(row, rng)))
+            }
+            Client::Mechanism(Mechanism::MargRr(m)) => each!(|row, rng| {
+                let (marginal, cell) = m.sample_marginal(row, rng);
+                put_marg_rr(w, marginal, |ones| {
+                    m.perturb_table(cell, rng, |c| ones.push(c));
+                });
+            }),
+            Client::Mechanism(Mechanism::MargPs(m)) => {
+                each!(|row, rng| put_marg_ps(w, || m.encode(row, rng)))
+            }
+            Client::Mechanism(Mechanism::MargHt(m)) => {
+                each!(|row, rng| put_marg_ht(w, || m.encode(row, rng)))
+            }
+            Client::Mechanism(Mechanism::InpEm(m)) => {
+                each!(|row, rng| put_inp_em(w, || m.encode(row, rng)))
+            }
+            Client::Oracle(Oracle::Olh(o)) => each!(|row, rng| put_olh(w, || o.encode(row, rng))),
+            Client::Oracle(Oracle::Cms(o)) => each!(|row, rng| {
+                let (sketch_row, bucket) = o.sample_row(row, rng);
+                put_cms(w, sketch_row, |ones| {
+                    o.perturb_row(bucket, rng, |b| ones.push(b));
+                });
+            }),
+            Client::Oracle(Oracle::Hcms(o)) => each!(|row, rng| put_hcms(w, || o.encode(row, rng))),
+        }
+    }
+}
+
+// The one writer of each report layout: tag and version, then the
+// fields in wire order (`docs/WIRE_FORMAT.md` §5). `PipelineReport::put`
+// and the encode kernel both write through these. Each takes the report
+// (or, for the list layouts, a `fill` that appends the list) as a
+// closure run after the tag is written, so the kernel draws each report
+// straight onto the wire; drawing the report before writing its tag
+// made the InpEM kernel measurably slower.
+
+fn put_inp_ps(w: &mut Writer, cell: impl FnOnce() -> u64) {
+    w.put_tag(tag::REPORT_INP_PS);
+    w.put_u64(cell());
+}
+
+fn put_inp_ht(w: &mut Writer, report: impl FnOnce() -> InpHtReport) {
+    w.put_tag(tag::REPORT_INP_HT);
+    let r = report();
+    w.put_u32(r.coefficient);
+    w.put_u8(u8::from(r.sign_positive));
+}
+
+fn put_marg_ps(w: &mut Writer, report: impl FnOnce() -> MargPsReport) {
+    w.put_tag(tag::REPORT_MARG_PS);
+    let r = report();
+    w.put_u32(r.marginal);
+    w.put_u16(r.cell);
+}
+
+fn put_marg_ht(w: &mut Writer, report: impl FnOnce() -> MargHtReport) {
+    w.put_tag(tag::REPORT_MARG_HT);
+    let r = report();
+    w.put_u32(r.marginal);
+    w.put_u16(r.coefficient);
+    w.put_u8(u8::from(r.sign_positive));
+}
+
+fn put_inp_em(w: &mut Writer, row: impl FnOnce() -> u64) {
+    w.put_tag(tag::REPORT_INP_EM);
+    w.put_u64(row());
+}
+
+fn put_hcms(w: &mut Writer, report: impl FnOnce() -> HcmsReport) {
+    w.put_tag(tag::REPORT_HCMS);
+    let r = report();
+    w.put_u8(r.row);
+    w.put_u16(r.coefficient);
+    w.put_u8(u8::from(r.sign_positive));
+}
+
+fn put_olh(w: &mut Writer, report: impl FnOnce() -> OlhReport) {
+    w.put_tag(tag::REPORT_OLH);
+    let r = report();
+    w.put_u64(r.seed);
+    w.put_u8(r.bucket);
+}
+
+/// The [`tag::REPORT_INP_RR_BITS`] layout: the `u32` word count, then
+/// the `count` `u64` words `fill` appends (cell 0 is the LSB of word 0).
+fn put_inp_rr_bits(w: &mut Writer, count: usize, fill: impl FnOnce(&mut Writer)) {
+    w.put_tag(tag::REPORT_INP_RR_BITS);
+    w.put_u32(u32::try_from(count).unwrap_or(u32::MAX));
+    fill(w);
+}
+
+/// The [`tag::REPORT_MARG_RR`] layout: the `u32` marginal index, then
+/// the list of the table cells `fill` pushes.
+fn put_marg_rr(w: &mut Writer, marginal: u32, fill: impl FnOnce(&mut U16List<'_>)) {
+    w.put_tag(tag::REPORT_MARG_RR);
+    w.put_u32(marginal);
+    w.put_u16_list(fill);
+}
+
+/// The [`tag::REPORT_CMS`] layout: the `u8` sketch row, then the list of
+/// the buckets `fill` pushes.
+fn put_cms(w: &mut Writer, row: u8, fill: impl FnOnce(&mut U16List<'_>)) {
+    w.put_tag(tag::REPORT_CMS);
+    w.put_u8(row);
+    w.put_u16_list(fill);
 }
 
 /// One user's report, for any of the ten protocols — what a report
@@ -301,61 +458,35 @@ impl PipelineReport {
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::default();
+        self.put(&mut w);
+        w.into_bytes()
+    }
+
+    /// Append this report's payload to `w`, through its layout's
+    /// writer.
+    fn put(&self, w: &mut Writer) {
         match self {
-            PipelineReport::InpRr(words) => put_inp_rr_bits(&mut w, words.len(), |w| {
+            PipelineReport::InpRr(words) => put_inp_rr_bits(w, words.len(), |w| {
                 words.iter().for_each(|&word| w.put_u64(word));
             }),
             PipelineReport::InpRrList(ones) => {
                 w.put_tag(tag::REPORT_INP_RR);
                 w.put_u32_slice(ones);
             }
-            PipelineReport::InpPs(cell) => {
-                w.put_tag(tag::REPORT_INP_PS);
-                w.put_u64(*cell);
-            }
-            PipelineReport::InpHt(r) => {
-                w.put_tag(tag::REPORT_INP_HT);
-                w.put_u32(r.coefficient);
-                w.put_u8(u8::from(r.sign_positive));
-            }
-            PipelineReport::MargRr(r) => {
-                w.put_tag(tag::REPORT_MARG_RR);
-                w.put_u32(r.marginal);
-                w.put_u16_slice(&r.ones);
-            }
-            PipelineReport::MargPs(r) => {
-                w.put_tag(tag::REPORT_MARG_PS);
-                w.put_u32(r.marginal);
-                w.put_u16(r.cell);
-            }
-            PipelineReport::MargHt(r) => {
-                w.put_tag(tag::REPORT_MARG_HT);
-                w.put_u32(r.marginal);
-                w.put_u16(r.coefficient);
-                w.put_u8(u8::from(r.sign_positive));
-            }
-            PipelineReport::InpEm(row) => {
-                w.put_tag(tag::REPORT_INP_EM);
-                w.put_u64(*row);
-            }
-            PipelineReport::Hcms(r) => {
-                w.put_tag(tag::REPORT_HCMS);
-                w.put_u8(r.row);
-                w.put_u16(r.coefficient);
-                w.put_u8(u8::from(r.sign_positive));
-            }
-            PipelineReport::Cms(r) => {
-                w.put_tag(tag::REPORT_CMS);
-                w.put_u8(r.row);
-                w.put_u16_slice(&r.ones);
-            }
-            PipelineReport::Olh(r) => {
-                w.put_tag(tag::REPORT_OLH);
-                w.put_u64(r.seed);
-                w.put_u8(r.bucket);
-            }
+            PipelineReport::InpPs(cell) => put_inp_ps(w, || *cell),
+            PipelineReport::InpHt(r) => put_inp_ht(w, || *r),
+            PipelineReport::MargRr(r) => put_marg_rr(w, r.marginal, |list| {
+                r.ones.iter().for_each(|&c| list.push(c));
+            }),
+            PipelineReport::MargPs(r) => put_marg_ps(w, || *r),
+            PipelineReport::MargHt(r) => put_marg_ht(w, || *r),
+            PipelineReport::InpEm(row) => put_inp_em(w, || *row),
+            PipelineReport::Hcms(r) => put_hcms(w, || *r),
+            PipelineReport::Cms(r) => put_cms(w, r.row, |list| {
+                r.ones.iter().for_each(|&b| list.push(b));
+            }),
+            PipelineReport::Olh(r) => put_olh(w, || *r),
         }
-        w.into_bytes()
     }
 
     /// The one report decoder: read the report whose tag `t` sits at
@@ -517,38 +648,135 @@ impl PipelineReport {
             _ => None,
         }
     }
+}
 
-    /// Check this report against the stream header it arrived under,
-    /// with the rule [`PipelineAccumulator::absorb_batch`] applies: it
-    /// must belong to the header's protocol, and an InpRR bitset must
-    /// fit the header's `2^d` cells. A stream consumer that routes reports to
-    /// accumulators elsewhere (the collector's worker pool) calls this
-    /// first, so a report it accepted is one every accumulator built
-    /// from `header` absorbs.
-    pub fn check_header(&self, header: &StreamHeader) -> Result<(), String> {
-        admit(header.protocol, header.d, self)
+/// The one acceptance rule for reports into a pipeline's accumulators,
+/// read off an accumulator's table sizes by
+/// [`PipelineAccumulator::report_rule`] once per batch or stream. A
+/// report passes [`ReportRule::check`] only if it belongs to the
+/// pipeline's protocol and addresses cells of its tables:
+///
+/// * an InpRR bitset has exactly `⌈2^d/64⌉` words and no bit past cell
+///   `2^d − 1` (legacy InpRR position lists keep their documented
+///   fold-mod-`2^d` rule);
+/// * InpPS cell and InpEM row `< 2^d`; InpHT coefficient `< Σ_{j≤k}
+///   C(d,j)`;
+/// * MargRR/MargPS/MargHT marginal `< C(d,k)` and every cell or
+///   coefficient `< 2^k`;
+/// * HCMS/CMS row `< hashes` and every coefficient or bucket
+///   `< width`; OLH bucket `< g`.
+///
+/// A report that breaks the rule is refused by name, never folded, so
+/// no report field can index past a table or miscount into the state.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReportRule {
+    protocol: u8,
+    /// Attribute count, which sizes an InpRR bitset.
+    d: u32,
+    /// Bound of the first index field: the InpPS cell, InpHT
+    /// coefficient, marginal, InpEM row, sketch row or OLH bucket.
+    first: u64,
+    /// Bound of the second index field: the cell or coefficient within
+    /// a marginal, or the bucket or coefficient within a sketch row.
+    second: u64,
+}
+
+impl ReportRule {
+    /// Accept `report`, or refuse it with a message naming what breaks
+    /// the rule.
+    pub fn check(&self, report: &PipelineReport) -> Result<(), String> {
+        self.verdict(report).map_err(|e| self.message(e))
+    }
+
+    /// Accept every report of a batch, or refuse the batch with a
+    /// message naming the first report that breaks the rule.
+    fn check_all(&self, reports: &[PipelineReport]) -> Result<(), String> {
+        reports
+            .iter()
+            .try_for_each(|r| self.verdict(r))
+            .map_err(|e| self.message(e))
+    }
+
+    /// The rule itself, allocation-free: the per-report step of every
+    /// batch, so it stays inlined and leaves the message to
+    /// [`ReportRule::message`].
+    #[inline]
+    fn verdict(&self, report: &PipelineReport) -> Result<(), Refusal> {
+        if report.protocol_tag() != self.protocol {
+            return Err(Refusal::Protocol(report.protocol_tag()));
+        }
+        let (first, second) = (self.first, self.second);
+        match report {
+            PipelineReport::InpRr(words) => {
+                InpRrAggregator::check_bits(self.d, words).map_err(Refusal::Bitset)
+            }
+            PipelineReport::InpRrList(_) => Ok(()),
+            PipelineReport::InpPs(cell) => within("InpPS cell", *cell, first),
+            PipelineReport::InpHt(r) => within("InpHT coefficient", r.coefficient.into(), first),
+            PipelineReport::MargRr(r) => {
+                within("MargRR marginal", r.marginal.into(), first)?;
+                r.ones
+                    .iter()
+                    .try_for_each(|&c| within("MargRR cell", c.into(), second))
+            }
+            PipelineReport::MargPs(r) => {
+                within("MargPS marginal", r.marginal.into(), first)?;
+                within("MargPS cell", r.cell.into(), second)
+            }
+            PipelineReport::MargHt(r) => {
+                within("MargHT marginal", r.marginal.into(), first)?;
+                within("MargHT coefficient", r.coefficient.into(), second)
+            }
+            PipelineReport::InpEm(row) => within("InpEM row", *row, first),
+            PipelineReport::Hcms(r) => {
+                within("HCMS row", r.row.into(), first)?;
+                within("HCMS coefficient", r.coefficient.into(), second)
+            }
+            PipelineReport::Cms(r) => {
+                within("CMS row", r.row.into(), first)?;
+                r.ones
+                    .iter()
+                    .try_for_each(|&b| within("CMS bucket", b.into(), second))
+            }
+            PipelineReport::Olh(r) => within("OLH bucket", r.bucket.into(), first),
+        }
+    }
+
+    #[cold]
+    fn message(&self, refusal: Refusal) -> String {
+        match refusal {
+            Refusal::Protocol(t) => format!(
+                "stream mixes protocols: a {} pipeline got a {} report",
+                protocol_name(self.protocol),
+                protocol_name(t)
+            ),
+            Refusal::Bitset(e) => format!("bad report: {e}"),
+            Refusal::Field(what, value, limit) => format!(
+                "bad report: {what} {value} does not address the header's tables (need < {limit})"
+            ),
+        }
     }
 }
 
-/// The one acceptance rule for a report in a pipeline over `protocol`
-/// and `d` attributes: the report must belong to that protocol, and an
-/// InpRR bitset must fit the `2^d` cells — exactly `⌈2^d/64⌉` words,
-/// no bit past cell `2^d − 1`. Mismatched bitsets are refused rather
-/// than folded, so a corrupt or foreign-`d` report can never miscount
-/// into the state; legacy InpRR position lists keep their
-/// fold-mod-`2^d` rule.
-fn admit(protocol: u8, d: u32, report: &PipelineReport) -> Result<(), String> {
-    if report.protocol_tag() != protocol {
-        return Err(format!(
-            "stream mixes protocols: a {} pipeline got a {} report",
-            protocol_name(protocol),
-            report.protocol_name()
-        ));
+/// Why a report breaks a [`ReportRule`].
+enum Refusal {
+    /// It belongs to the protocol with this accumulator type tag.
+    Protocol(u8),
+    /// It is an InpRR bitset that does not fit the `2^d` cells.
+    Bitset(WireError),
+    /// Its index field (name, value) is not below the bound.
+    Field(&'static str, u64, u64),
+}
+
+/// Accept an index field `what` of value `value` if it addresses one of
+/// `limit` table cells.
+#[inline]
+fn within(what: &'static str, value: u64, limit: u64) -> Result<(), Refusal> {
+    if value < limit {
+        Ok(())
+    } else {
+        Err(Refusal::Field(what, value, limit))
     }
-    if let PipelineReport::InpRr(words) = report {
-        InpRrAggregator::check_bits(d, words).map_err(|e| format!("bad report: {e}"))?;
-    }
-    Ok(())
 }
 
 /// The smallest encodable report blob: tag + version + a 4-byte field
@@ -743,22 +971,38 @@ impl PipelineAccumulator {
         self.absorb(&PipelineReport::from_bytes(bytes)?)
     }
 
-    /// Absorb a buffer of decoded reports: one validation pass with the
-    /// rule [`PipelineReport::check_header`] applies, then one match on
-    /// the protocol and a tight loop into the concrete aggregator
+    /// The rule every report into this accumulator must pass (see
+    /// [`ReportRule`]), read off its table sizes in O(1).
+    #[must_use]
+    pub fn report_rule(&self) -> ReportRule {
+        let (d, first, second) = match self {
+            PipelineAccumulator::InpRr(a) => (a.d(), 0, 0),
+            PipelineAccumulator::InpPs(a) => (a.d(), 1u64 << a.d(), 0),
+            PipelineAccumulator::InpHt(a) => (0, a.coefficient_count() as u64, 0),
+            PipelineAccumulator::MargRr(a) => (0, a.marginal_count() as u64, 1u64 << a.k()),
+            PipelineAccumulator::MargPs(a) => (0, a.marginal_count() as u64, 1u64 << a.k()),
+            PipelineAccumulator::MargHt(a) => (0, a.marginal_count() as u64, 1u64 << a.k()),
+            PipelineAccumulator::InpEm(a) => (a.d(), 1u64 << a.d(), 0),
+            PipelineAccumulator::Hcms(a) => (0, a.rows() as u64, a.width() as u64),
+            PipelineAccumulator::Cms(a) => (0, a.rows() as u64, a.width() as u64),
+            PipelineAccumulator::Olh(a) => (0, a.buckets(), 0),
+        };
+        ReportRule {
+            protocol: self.protocol_tag(),
+            d,
+            first,
+            second,
+        }
+    }
+
+    /// Absorb a buffer of decoded reports: one validation pass with
+    /// this accumulator's [`ReportRule`], then one match on the
+    /// protocol and a tight loop of the concrete aggregator's `absorb`
     /// (`InpRR` through its bit-sliced kernel, `InpEM` through its
     /// group-by-value kernel). Rejects the whole batch — absorbing
-    /// nothing — if any report is of another protocol or is an InpRR
-    /// bitset that does not fit.
+    /// nothing — if any report breaks the rule.
     pub fn absorb_batch(&mut self, reports: &[PipelineReport]) -> Result<(), String> {
-        // `d` matters only for InpRR bitsets, which `admit` lets through
-        // only into an InpRR accumulator.
-        let d = match self {
-            PipelineAccumulator::InpRr(a) => a.d(),
-            _ => 0,
-        };
-        let protocol = self.protocol_tag();
-        reports.iter().try_for_each(|r| admit(protocol, d, r))?;
+        self.report_rule().check_all(reports)?;
         macro_rules! each {
             ($variant:ident, $r:ident => $absorb:expr) => {
                 for report in reports {
@@ -1072,8 +1316,6 @@ mod tests {
             for report in &reports {
                 let mut acc = PipelineAccumulator::empty(header).unwrap();
                 let absorbed = acc.absorb(report);
-                // One rule: the header check and the accumulator agree.
-                assert_eq!(absorbed, report.check_header(header));
                 if report.protocol_tag() == header.protocol {
                     assert_eq!(absorbed, Ok(()));
                 } else {
@@ -1082,6 +1324,119 @@ mod tests {
                     assert_eq!(acc.report_count(), 0);
                 }
             }
+        }
+    }
+
+    /// For every protocol, a report whose index field is just past the
+    /// header's tables, or at its type's maximum, is refused by name —
+    /// with every report batched alongside it — and never panics; the
+    /// same field just inside the tables absorbs.
+    #[test]
+    fn out_of_range_fields_are_refused_by_name_for_every_protocol() {
+        use MechanismKind::{InpEm, InpHt, InpPs, MargHt, MargPs, MargRr};
+        use OracleKind::{Cms, Hcms, Olh};
+        use PipelineReport as R;
+        fn marg_rr(marginal: u64, cell: u64) -> PipelineReport {
+            let ones = vec![0, cell as u16];
+            R::MargRr(MargRrReport {
+                marginal: marginal as u32,
+                ones,
+            })
+        }
+        fn marg_ps(marginal: u64, cell: u64) -> PipelineReport {
+            R::MargPs(MargPsReport {
+                marginal: marginal as u32,
+                cell: cell as u16,
+            })
+        }
+        fn marg_ht(marginal: u64, coefficient: u64) -> PipelineReport {
+            let (marginal, coefficient) = (marginal as u32, coefficient as u16);
+            R::MargHt(MargHtReport {
+                marginal,
+                coefficient,
+                sign_positive: true,
+            })
+        }
+        fn hcms(row: u64, coefficient: u64) -> PipelineReport {
+            let (row, coefficient) = (row as u8, coefficient as u16);
+            R::Hcms(HcmsReport {
+                row,
+                coefficient,
+                sign_positive: false,
+            })
+        }
+        fn cms(row: u64, bucket: u64) -> PipelineReport {
+            R::Cms(CmsReport {
+                row: row as u8,
+                ones: vec![1, bucket as u16],
+            })
+        }
+        let mech = |kind| StreamHeader::mechanism(kind, 6, 2, 1.1);
+        let oracle = |kind| crate::streaming::oracle_header(kind, 6, 1.1, 3, 16, 9);
+        let (u8_max, u16_max, u32_max) = (u8::MAX.into(), u16::MAX.into(), u32::MAX.into());
+        // d = 6, k = 2: 64 cells, 6 + 15 = 21 InpHT coefficients,
+        // C(6,2) = 15 marginals of 4 cells; sketches 3 × 16; OLH
+        // g = ⌈e^1.1⌉ + 1 = 5. Each case: the field's last in-table
+        // value, its type's maximum, and the report with it set.
+        type Forge<'a> = &'a dyn Fn(u64) -> PipelineReport;
+        #[rustfmt::skip]
+        let cases: [(StreamHeader, &str, u64, u64, Forge<'_>); 14] = [
+            (mech(InpPs), "InpPS cell", 63, u64::MAX, &R::InpPs),
+            (mech(InpHt), "InpHT coefficient", 20, u32_max, &|v| {
+                R::InpHt(InpHtReport { coefficient: v as u32, sign_positive: true })
+            }),
+            (mech(MargRr), "MargRR marginal", 14, u32_max, &|v| marg_rr(v, 3)),
+            (mech(MargRr), "MargRR cell", 3, u16_max, &|v| marg_rr(14, v)),
+            (mech(MargPs), "MargPS marginal", 14, u32_max, &|v| marg_ps(v, 3)),
+            (mech(MargPs), "MargPS cell", 3, u16_max, &|v| marg_ps(14, v)),
+            (mech(MargHt), "MargHT marginal", 14, u32_max, &|v| marg_ht(v, 3)),
+            (mech(MargHt), "MargHT coefficient", 3, u16_max, &|v| marg_ht(14, v)),
+            (mech(InpEm), "InpEM row", 63, u64::MAX, &R::InpEm),
+            (oracle(Hcms), "HCMS row", 2, u8_max, &|v| hcms(v, 15)),
+            (oracle(Hcms), "HCMS coefficient", 15, u16_max, &|v| hcms(2, v)),
+            (oracle(Cms), "CMS row", 2, u8_max, &|v| cms(v, 15)),
+            (oracle(Cms), "CMS bucket", 15, u16_max, &|v| cms(2, v)),
+            (oracle(Olh), "OLH bucket", 4, u8_max, &|v| {
+                R::Olh(OlhReport { seed: 7, bucket: v as u8 })
+            }),
+        ];
+        for (header, name, last, max, forge) in cases {
+            let good = forge(last);
+            for bad in [last + 1, max] {
+                let mut acc = PipelineAccumulator::empty(&header).unwrap();
+                let err = acc.absorb_batch(&[good.clone(), forge(bad)]).unwrap_err();
+                assert!(
+                    err.contains(&format!("{name} {bad} ")),
+                    "{name} {bad}: {err}"
+                );
+                assert_eq!(acc.report_count(), 0, "{name} {bad}");
+                assert_eq!(
+                    acc.to_bytes(),
+                    PipelineAccumulator::empty(&header).unwrap().to_bytes()
+                );
+            }
+            let mut acc = PipelineAccumulator::empty(&header).unwrap();
+            acc.absorb(&good).unwrap();
+            assert_eq!(acc.report_count(), 1, "{name}");
+        }
+    }
+
+    /// An InpRR report is Table 2's `2^d` bits rounded up to whole
+    /// words, behind the 6-byte prelude, and the encode kernel writes
+    /// exactly the bytes of the typed report.
+    #[test]
+    fn inp_rr_report_bytes_are_the_table_2_bits_rounded_to_words() {
+        for d in 1..=12u32 {
+            let header = StreamHeader::mechanism(MechanismKind::InpRr, d, 1, 1.1);
+            let client = Client::from_header(&header).unwrap();
+            let words = (1usize << d).div_ceil(64);
+            let row = u64::from(d) % (1 << d);
+            let typed = client.encode(row, &mut StdRng::seed_from_u64(u64::from(d)));
+            let typed = typed.to_bytes();
+            assert_eq!(typed.len(), 6 + 8 * words, "d={d}");
+            let mut w = Writer::default();
+            client.encode_report_into(row, &mut StdRng::seed_from_u64(u64::from(d)), &mut w);
+            assert_eq!(w.as_bytes(), &typed[..], "d={d}");
         }
     }
 

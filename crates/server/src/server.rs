@@ -29,6 +29,7 @@ use ldp_core::wire::tag;
 use ldp_core::{clamp_normalize, MarginalEstimator};
 use ldp_oracles::pipeline::{
     decode_report_batch_into, PipelineAccumulator, PipelineEstimate, PipelineReport, Protocol,
+    ReportRule,
 };
 use ldp_oracles::FrequencyOracle;
 use std::collections::BTreeMap;
@@ -114,9 +115,11 @@ struct Worker {
     handle: JoinHandle<()>,
 }
 
-/// The established pipeline: fixed header + the worker pool.
+/// The established pipeline: fixed header, the rule its reports must
+/// pass, and the worker pool.
 struct Pipeline {
     header: StreamHeader,
+    rule: ReportRule,
     workers: Vec<Worker>,
 }
 
@@ -229,11 +232,10 @@ fn absorb_drained(acc: &mut PipelineAccumulator, batch: &mut Vec<PipelineReport>
     if batch.is_empty() {
         return;
     }
-    // Handlers validate every report against the established header
-    // with `PipelineReport::check_header` — the rule `absorb_batch`
-    // applies — before dispatching, so a rejected batch can only mean
-    // a logic error upstream; account for it rather than crash the
-    // worker.
+    // Handlers validate every report with the established pipeline's
+    // `ReportRule` — the rule `absorb_batch` applies — before
+    // dispatching, so a rejected batch can only mean a logic error
+    // upstream; account for it rather than crash the worker.
     match acc.absorb_batch(batch) {
         Ok(()) => {
             shared
@@ -398,32 +400,38 @@ impl Shared {
             ));
         }
         let mut seed = seed;
+        // Every worker's tables have the header's shape, so the first
+        // one's rule is every worker's.
+        let mut rule = None;
         let workers = (0..self.shards)
             .map(|_| {
                 let acc = match seed.take() {
                     Some(state) => PipelineAccumulator::from_state(&header, state)?,
                     None => PipelineAccumulator::empty(&header)?,
                 };
+                rule.get_or_insert_with(|| acc.report_rule());
                 let (sender, rx) = mpsc::channel();
                 let shared = Arc::clone(self);
                 let handle = std::thread::spawn(move || worker_loop(acc, rx, shared));
                 Ok(Worker { sender, handle })
             })
             .collect::<Result<Vec<_>, String>>()?;
-        *guard = Some(Pipeline { header, workers });
+        let rule = rule.ok_or("a collector needs at least one worker shard")?;
+        *guard = Some(Pipeline {
+            header,
+            rule,
+            workers,
+        });
         Ok(())
     }
 
-    /// Clone out the established header and worker senders, so report
-    /// dispatch runs without touching the pipeline lock.
-    fn senders(&self) -> Option<(StreamHeader, Vec<mpsc::Sender<WorkerMsg>>)> {
+    /// Clone out the established report rule and worker senders, so
+    /// report dispatch runs without touching the pipeline lock.
+    fn senders(&self) -> Option<(ReportRule, Vec<mpsc::Sender<WorkerMsg>>)> {
         let guard = self.lock_pipeline();
-        guard.as_ref().map(|p| {
-            (
-                p.header,
-                p.workers.iter().map(|w| w.sender.clone()).collect(),
-            )
-        })
+        guard
+            .as_ref()
+            .map(|p| (p.rule, p.workers.iter().map(|w| w.sender.clone()).collect()))
     }
 
     /// Lock the downstream replacement table, recovering from poison
@@ -1009,7 +1017,7 @@ fn handle_ingest(
     }
     // `establish` just succeeded, so the pipeline can only be absent if
     // shutdown tore it down concurrently — degrade, don't panic.
-    let Some((_, senders)) = shared.senders() else {
+    let Some((rule, senders)) = shared.senders() else {
         return Ok(());
     };
 
@@ -1039,13 +1047,12 @@ fn handle_ingest(
                 }
             }
             Ok(true) => {
-                // Validate against the header here, with the same rule
-                // the accumulators apply: a report that reaches a
-                // worker's drained batch can then never make it refuse
-                // the batch, which would drop other connections'
-                // already-counted reports.
+                // Validate here, with the rule the accumulators apply:
+                // a report that reaches a worker's drained batch can
+                // then never make it refuse the batch, which would drop
+                // other connections' already-counted reports.
                 let checked = PipelineReport::from_bytes(&frame)
-                    .and_then(|report| report.check_header(&header).map(|()| report));
+                    .and_then(|report| rule.check(&report).map(|()| report));
                 let report = match checked {
                     Ok(report) => report,
                     Err(message) => {

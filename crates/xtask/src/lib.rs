@@ -8,7 +8,7 @@
 //!    `crates/core/src/wire.rs` and `frame.rs`;
 //! 2. **panic paths** ([`panics`]) — non-test source on the collector
 //!    hot path (`crates/server`, the wire/frame decoders, the report
-//!    decoders in `ldp_oracles::pipeline`, `ldp-cli serve`) must not contain
+//!    codecs in `ldp_oracles::pipeline`, `ldp-cli serve`) must not contain
 //!    `unwrap`/`expect`/`panic!`/`unreachable!` or direct slice
 //!    indexing, except where the committed allowlist explains why;
 //! 3. **lossy casts** ([`casts`]) — `as u16`/`as u32`/`as usize`
@@ -109,15 +109,14 @@ impl fmt::Display for Diagnostic {
 /// exist: a missing entry is an [`Kind::Io`] diagnostic, so renaming a
 /// hot-path file forces a linter update instead of silently shrinking
 /// coverage. `crates/oracles/src/pipeline.rs` holds every report
-/// decoder and the one type-erased accumulator, so the whole path from
-/// report bytes to absorb is covered.
-pub const REQUIRED_FILES: [&str; 8] = [
+/// decoder and writer, the batched encode kernel, the acceptance rule
+/// and the one type-erased accumulator, so the whole path from report
+/// bytes to absorb (and from rows to report bytes) is covered.
+pub const REQUIRED_FILES: [&str; 6] = [
     "crates/core/src/wire.rs",
     "crates/core/src/frame.rs",
-    "crates/core/src/encode.rs",
     "crates/core/src/bitslice.rs",
     "crates/oracles/src/pipeline.rs",
-    "crates/oracles/src/encode.rs",
     "crates/cli/src/serve.rs",
     "crates/cli/src/load.rs",
 ];

@@ -116,10 +116,8 @@ fn clean_fixture() -> Fixture {
     fixture.write("docs/WIRE_FORMAT.md", DOC);
     fixture.write("crates/core/src/wire.rs", WIRE);
     fixture.write("crates/core/src/frame.rs", FRAME);
-    fixture.write("crates/core/src/encode.rs", CLEAN_RS);
     fixture.write("crates/core/src/bitslice.rs", CLEAN_RS);
     fixture.write("crates/oracles/src/pipeline.rs", CLEAN_RS);
-    fixture.write("crates/oracles/src/encode.rs", CLEAN_RS);
     fixture.write("crates/cli/src/serve.rs", CLEAN_RS);
     fixture.write("crates/cli/src/load.rs", CLEAN_RS);
     fixture.write("crates/server/src/lib.rs", CLEAN_RS);

@@ -13,7 +13,9 @@
 
 use ldp_core::frame::{read_snapshot, FrameReader, FrameWriter, StreamHeader};
 use ldp_core::{user_rng, MarginalEstimator, MechanismKind};
-use ldp_oracles::pipeline::{Client, PipelineAccumulator, PipelineEstimate};
+use ldp_oracles::pipeline::{
+    encode_report_batch, Client, PipelineAccumulator, PipelineEstimate, PipelineReport,
+};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::OnceLock;
@@ -502,4 +504,62 @@ fn ingest_rejects_truncated_streams() {
     let (ok, _, err) = run_cli_raw(&["ingest"], Some(cut));
     assert!(!ok, "truncated stream must fail");
     assert!(err.contains("truncated"), "unexpected error:\n{err}");
+}
+
+/// `report` with one field pushed outside every table its header can
+/// describe (for InpRR, one bitset word too many).
+fn out_of_range(report: &PipelineReport) -> PipelineReport {
+    let mut report = report.clone();
+    match &mut report {
+        PipelineReport::InpRr(words) => words.push(0),
+        PipelineReport::InpRrList(_) => unreachable!("the encoders write InpRR bitsets"),
+        PipelineReport::InpPs(cell) | PipelineReport::InpEm(cell) => *cell = u64::MAX,
+        PipelineReport::InpHt(r) => r.coefficient = 0xFFFF_FF00,
+        PipelineReport::MargRr(r) => r.ones.push(u16::MAX),
+        PipelineReport::MargPs(r) => r.marginal = u32::MAX,
+        PipelineReport::MargHt(r) => r.coefficient = u16::MAX,
+        PipelineReport::Hcms(r) => r.row = u8::MAX,
+        PipelineReport::Cms(r) => r.ones.push(u16::MAX),
+        PipelineReport::Olh(r) => r.bucket = u8::MAX,
+    }
+    report
+}
+
+/// For every protocol, `ingest` of a stream holding one report whose
+/// field lies outside the header's tables — as a single-report frame
+/// or inside a `REPORT_BATCH` frame — exits with a named error, never a
+/// panic, and writes no snapshot.
+#[test]
+fn ingest_refuses_out_of_range_report_fields_for_every_protocol() {
+    let sketch = ["--hashes", "3", "--width", "16", "--family-seed", "9"];
+    let protocols = [
+        "InpRR", "InpPS", "InpHT", "MargRR", "MargPS", "MargHT", "InpEM", "HCMS", "CMS", "OLH",
+    ];
+    for protocol in protocols {
+        let mut args = vec!["encode", "--protocol", protocol, "--d", "4", "--k", "2"];
+        args.extend(sketch);
+        let stream = run_cli(&args, Some(b"5\n9\n"));
+        let mut reader = FrameReader::new(stream.as_slice());
+        let header = reader.next_frame().unwrap().expect("header frame");
+        let good = reader.next_frame().unwrap().expect("report frame");
+        let bad = out_of_range(&PipelineReport::from_bytes(&good).unwrap()).to_bytes();
+        for frames in [
+            vec![good.clone(), bad.clone()],
+            vec![encode_report_batch(&[good.clone(), bad.clone()])],
+        ] {
+            let mut forged = Vec::new();
+            let mut writer = FrameWriter::new(&mut forged);
+            writer.write_frame(&header).unwrap();
+            for frame in &frames {
+                writer.write_frame(frame).unwrap();
+            }
+            let (ok, out, err) = run_cli_raw(&["ingest"], Some(&forged));
+            assert!(!ok, "{protocol}: a forged stream must fail");
+            assert!(out.is_empty(), "{protocol}: wrote a snapshot");
+            assert!(
+                err.contains("bad report: ") && !err.contains("panicked"),
+                "{protocol}: expected a named refusal, got:\n{err}"
+            );
+        }
+    }
 }

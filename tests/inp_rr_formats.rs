@@ -15,7 +15,7 @@
 
 use marginal_ldp::core::frame::StreamHeader;
 use marginal_ldp::core::wire::tag;
-use marginal_ldp::core::{user_rng, Accumulator, InpRr, MechanismKind};
+use marginal_ldp::core::{user_rng, Accumulator, InpRr, InpRrReportRef, MechanismKind};
 use marginal_ldp::oracles::pipeline::{
     decode_report_batch_into, encode_report_batch, PipelineAccumulator, PipelineReport,
 };
@@ -116,7 +116,7 @@ fn bitset_and_legacy_reports_absorb_to_identical_state() {
             // The typed aggregator's own bitset kernel, without the
             // type-erased layer.
             let mut direct = mech.aggregator();
-            direct.absorb_batch(&bits);
+            direct.absorb_batch_by(&bits, |r| Some(InpRrReportRef::Bits(r)));
             assert_eq!(
                 Accumulator::to_bytes(&direct),
                 want,

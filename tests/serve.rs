@@ -958,6 +958,79 @@ fn mis_sized_inp_rr_bitsets_are_refused_without_dropping_other_clients() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An InpHT report whose coefficient (`0xFFFFFF00`) addresses none of
+/// the header's 10 coefficients (d = 4, k = 2) is refused by name, as a
+/// single-report frame and inside a `REPORT_BATCH` frame, while a
+/// concurrent valid stream absorbs in full: no worker panics, the
+/// server keeps serving, and the live snapshot equals a serial ingest
+/// of the valid stream.
+#[test]
+fn out_of_range_inp_ht_coefficients_are_refused_without_dropping_other_clients() {
+    let dir = scratch("inp_ht_bad_coefficient");
+    let (header, frames) = encoded_stream(&dir, "InpHT", &[], 300);
+    // Tag, version, u32 coefficient, u8 sign.
+    assert!(frames.iter().all(|f| f.len() == 2 + 4 + 1));
+    let mut forged = frames[0].clone();
+    forged[2..6].copy_from_slice(&0xFFFF_FF00u32.to_le_bytes());
+    let batch = encode_report_batch(&[frames[1].clone(), forged.clone(), frames[2].clone()]);
+    let server = ServerProc::start(&["--shards", "2"]);
+
+    const BAD_PUSHES: usize = 20;
+    std::thread::scope(|scope| {
+        let (addr, header) = (&server.addr, &header);
+        scope.spawn(move || match push_stream(addr, header, &frames) {
+            Response::Ingested(300) => {}
+            other => panic!("valid InpHT stream got {other:?}"),
+        });
+        for bad in [&forged, &batch] {
+            scope.spawn(move || {
+                for _ in 0..BAD_PUSHES {
+                    match push_stream(addr, header, std::slice::from_ref(bad)) {
+                        Response::Error(message) => assert!(
+                            message.contains("InpHT coefficient 4294967040"),
+                            "{message}"
+                        ),
+                        other => panic!("out-of-range InpHT coefficient got {other:?}"),
+                    }
+                }
+            });
+        }
+    });
+
+    // A refused single report counts one rejected frame; a refused
+    // batch counts each of its three reports.
+    let stats = String::from_utf8(run_cli(&["stats", "--connect", &server.addr], None)).unwrap();
+    assert!(
+        stats.contains(&format!(
+            "reports: 300 absorbed, {} frames rejected",
+            BAD_PUSHES + 3 * BAD_PUSHES
+        )),
+        "{stats}"
+    );
+    let live_path = dir.join("live.bin");
+    run_cli(
+        &[
+            "snapshot",
+            "--connect",
+            &server.addr,
+            "--output",
+            live_path.to_str().unwrap(),
+        ],
+        None,
+    );
+    server.shutdown();
+    let serial = run_cli(
+        &["ingest"],
+        Some(&std::fs::read(dir.join("stream.bin")).unwrap()),
+    );
+    assert_eq!(
+        std::fs::read(&live_path).unwrap(),
+        serial,
+        "live snapshot differs from a serial ingest of the valid stream"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// What an in-process server sees before its shutdown request.
 #[derive(Clone, Copy, Debug)]
 enum BeforeShutdown {

@@ -62,29 +62,6 @@ fn permutation(n: usize, seed: u64) -> Vec<usize> {
     perm
 }
 
-/// Serialized state after a serial `absorb` loop vs after
-/// `absorb_batch` over the given chunk lengths (clamped to the buffer;
-/// whatever the chunking leaves over lands in one final batch). Empty
-/// chunks become empty batches on purpose.
-fn serial_vs_batched<A: Accumulator>(
-    mut serial: A,
-    mut batched: A,
-    reports: &[A::Report],
-    chunks: &[usize],
-) -> (Vec<u8>, Vec<u8>) {
-    for r in reports {
-        serial.absorb(r);
-    }
-    let mut start = 0usize;
-    for &len in chunks {
-        let end = (start + len).min(reports.len());
-        batched.absorb_batch(&reports[start..end]);
-        start = end;
-    }
-    batched.absorb_batch(&reports[start..]);
-    (serial.to_bytes(), batched.to_bytes())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -261,46 +238,6 @@ proptest! {
     }
 }
 
-/// The typed per-aggregator batch kernels, driven directly (not through
-/// the type-erased enums): the empty buffer, empty batches, singleton
-/// batches, and the whole-buffer batch all match the serial loop for
-/// each of the seven mechanisms and three oracles.
-#[test]
-fn typed_batch_kernels_match_serial_including_empty_and_singleton() {
-    use marginal_ldp::core::{InpEm, InpHt, InpPs, InpRr, MargHt, MargPs, MargRr};
-    use marginal_ldp::oracles::{Cms, HadamardCms, Olh};
-    use rand::{rngs::StdRng, SeedableRng};
-
-    macro_rules! check_typed {
-        ($name:expr, $mech:expr) => {{
-            let mech = $mech;
-            let mut rng = StdRng::seed_from_u64(9);
-            let reports: Vec<_> = (0..200u64).map(|u| mech.encode(u % 16, &mut rng)).collect();
-            for chunks in [vec![], vec![0, 1, 0, 1], vec![7, 500]] {
-                let (serial, batched) =
-                    serial_vs_batched(mech.aggregator(), mech.aggregator(), &reports, &chunks);
-                assert_eq!(serial, batched, "{} chunking {:?}", $name, chunks);
-            }
-            let (serial, batched) =
-                serial_vs_batched(mech.aggregator(), mech.aggregator(), &reports[..0], &[]);
-            assert_eq!(serial, batched, "{} empty buffer", $name);
-        }};
-    }
-
-    check_typed!("InpRR", InpRr::new(4, 1.1));
-    check_typed!("InpPS", InpPs::new(4, 1.1));
-    check_typed!("InpHT", InpHt::new(4, 2, 1.1));
-    check_typed!("InpEM", InpEm::new(4, 1.1));
-    // d > 16: the InpEM kernel's serial-fallback path (no dense scratch).
-    check_typed!("InpEM-wide", InpEm::new(20, 1.1));
-    check_typed!("MargRR", MargRr::new(4, 2, 1.1));
-    check_typed!("MargPS", MargPs::new(4, 2, 1.1));
-    check_typed!("MargHT", MargHt::new(4, 2, 1.1));
-    check_typed!("OLH", Olh::new(4, 1.1));
-    check_typed!("CMS", Cms::new(4, 1.1, 3, 16, 9));
-    check_typed!("HCMS", HadamardCms::new(4, 1.1, 3, 16, 9));
-}
-
 /// One valid report of each of the eleven report kinds, in wire-tag
 /// order: the two InpRR forms, the six other mechanisms, the three
 /// oracles.
@@ -321,6 +258,53 @@ fn valid_reports() -> &'static [PipelineReport] {
         reports.insert(1, PipelineReport::InpRrList(positions));
         reports
     })
+}
+
+/// The header a report of entry `kind` of [`valid_reports`] streams
+/// under (both InpRR forms share the InpRR header).
+fn kind_header(kind: usize) -> StreamHeader {
+    all_headers()[kind.saturating_sub(1)]
+}
+
+/// `C(n, r)`.
+fn binomial(n: u32, r: u32) -> u64 {
+    (0..u64::from(r)).fold(1, |c, i| c * (u64::from(n) - i) / (i + 1))
+}
+
+/// Whether an accumulator built from `header` must accept `report`:
+/// the acceptance rule, restated from the protocols' table sizes
+/// (Table 2 and Appendix B) rather than read off an accumulator.
+fn fits(header: &StreamHeader, report: &PipelineReport) -> bool {
+    let (d, k) = (header.d, header.k);
+    let cells = 1u64 << d;
+    let marginals = binomial(d, k);
+    let coefficients: u64 = (0..=k).map(|j| binomial(d, j)).sum();
+    let (rows, width) = (u64::from(header.hashes), u64::from(header.width));
+    // OLH's g = ⌈e^ε⌉ + 1 buckets.
+    let buckets = header.eps.exp().ceil() as u64 + 1;
+    let in_marginal = |cell: u16| u64::from(cell) < 1 << k;
+    report.protocol_tag() == header.protocol
+        && match report {
+            PipelineReport::InpRr(words) => {
+                words.len() as u64 == cells.div_ceil(64) && (cells >= 64 || words[0] >> cells == 0)
+            }
+            PipelineReport::InpRrList(_) => true,
+            PipelineReport::InpPs(cell) => *cell < cells,
+            PipelineReport::InpHt(r) => u64::from(r.coefficient) < coefficients,
+            PipelineReport::MargRr(r) => {
+                u64::from(r.marginal) < marginals && r.ones.iter().all(|&c| in_marginal(c))
+            }
+            PipelineReport::MargPs(r) => u64::from(r.marginal) < marginals && in_marginal(r.cell),
+            PipelineReport::MargHt(r) => {
+                u64::from(r.marginal) < marginals && in_marginal(r.coefficient)
+            }
+            PipelineReport::InpEm(row) => *row < cells,
+            PipelineReport::Hcms(r) => u64::from(r.row) < rows && u64::from(r.coefficient) < width,
+            PipelineReport::Cms(r) => {
+                u64::from(r.row) < rows && r.ones.iter().all(|&b| u64::from(b) < width)
+            }
+            PipelineReport::Olh(r) => u64::from(r.bucket) < buckets,
+        }
 }
 
 /// The report frame tag of each entry of [`valid_reports`].
@@ -398,8 +382,10 @@ proptest! {
     /// `decode_into` over a slot already holding a report of any of the
     /// eleven kinds, and `decode_report_batch_into` — survives
     /// arbitrary input: no panic, and no decoded `Vec` grows past what
-    /// its input holds. Decoders accept exactly the same blobs, and an
-    /// InpRR bitset that does not fit is refused by name on absorb.
+    /// its input holds. Decoders accept exactly the same blobs, and
+    /// every decoded batch, of any kind, either absorbs whole or is
+    /// refused whole by name: a report of another protocol or with a
+    /// field outside the header's tables never panics the absorb.
     #[test]
     fn arbitrary_report_payloads_never_panic_or_overallocate(
         mode in 0u8..5,
@@ -453,20 +439,24 @@ proptest! {
         prop_assert!(scratch.len() <= 3.max(frame.len() / 6));
         let _ = decode_report_batch_into(&blob, &mut scratch);
 
-        // Whatever decoded as InpRR absorbs or is refused as a whole.
-        if let (Ok(n), 0 | 1) = (batch, kind) {
-            let header = StreamHeader::mechanism(MechanismKind::InpRr, 4, 2, 1.1);
-            let fits = |r: &PipelineReport| r.check_header(&header).is_ok();
-            let all_fit = scratch[..n].iter().all(fits);
+        // Whatever decoded absorbs, or is refused as a whole, under the
+        // header of the blob's own kind.
+        if let Ok(n) = batch {
+            let header = kind_header(kind);
+            let all_fit = scratch[..n].iter().all(|r| fits(&header, r));
             let mut acc = PipelineAccumulator::empty(&header).unwrap();
             match acc.absorb_batch(&scratch[..n]) {
                 Ok(()) => {
-                    prop_assert!(all_fit);
+                    prop_assert!(all_fit, "absorbed a report that does not fit");
                     prop_assert_eq!(acc.report_count(), n as u64);
                 }
                 Err(e) => {
                     prop_assert!(!all_fit, "refused a fitting batch: {}", e);
-                    prop_assert!(e.contains("InpRR bitset"), "unnamed error: {}", e);
+                    prop_assert!(
+                        e.contains("mixes protocols") || e.starts_with("bad report: "),
+                        "unnamed error: {}",
+                        e
+                    );
                     prop_assert_eq!(acc.report_count(), 0);
                 }
             }
